@@ -436,11 +436,11 @@ impl<I: ?Sized> CodeVariant<I> {
     where
         I: Sync,
     {
-        let active = self.policy.active_features(self.features.len());
         // Borrow only the feature table: capturing `self` would demand
         // `I: Send` because of the pending-async slot.
         let features = &self.features;
         if self.policy.parallel_feature_evaluation {
+            let active = self.policy.active_features(features.len());
             let pairs: Vec<(f64, f64)> = active
                 .par_iter()
                 .map(|&i| {
@@ -454,9 +454,9 @@ impl<I: ?Sized> CodeVariant<I> {
             let cost = pairs.iter().map(|p| p.1).fold(0.0, f64::max);
             (values, cost)
         } else {
-            let mut values = Vec::with_capacity(active.len());
+            let mut values = Vec::with_capacity(features.len());
             let mut cost = 0.0;
-            for &i in &active {
+            for i in self.policy.active_feature_indices(features.len()) {
                 let f = &self.features[i];
                 values.push(sanitize(f.evaluate(input)));
                 cost += f.cost_ns(input);
@@ -566,12 +566,21 @@ impl<I: ?Sized> CodeVariant<I> {
         self.model.as_ref().map(|m| m.predict(features))
     }
 
-    /// Model ranking for a feature vector: every variant index, ordered
-    /// from most to least preferred by the model's class posterior.
+    /// Model prediction and ranking for a feature vector from one model
+    /// evaluation ([`TrainedModel::predict_rank_into`]): returns what
+    /// [`CodeVariant::select`] returns and writes every class into
+    /// `ranked`, from most to least preferred by the model's posterior.
     /// `None` without a model. The `nitro-guard` fallback cascade walks
     /// this ranking when preferred variants are quarantined or vetoed.
-    pub fn predict_ranked(&self, features: &[f64]) -> Option<Vec<usize>> {
-        self.model.as_ref().map(|m| m.rank(features))
+    pub fn predict_rank_into(
+        &self,
+        features: &[f64],
+        scratch: &mut PredictScratch,
+        ranked: &mut Vec<usize>,
+    ) -> Option<usize> {
+        self.model
+            .as_ref()
+            .map(|m| m.predict_rank_into(features, scratch, ranked))
     }
 
     /// The full dispatch pipeline: evaluate features, consult the model,
@@ -1166,17 +1175,22 @@ mod tests {
     }
 
     #[test]
-    fn predict_ranked_starts_at_prediction_and_covers_all_variants() {
+    fn predict_rank_into_starts_at_prediction_and_covers_all_variants() {
         let mut cv = toy();
-        assert!(cv.predict_ranked(&[1.0]).is_none());
+        let mut scratch = PredictScratch::default();
+        let mut order = Vec::new();
+        assert!(cv
+            .predict_rank_into(&[1.0], &mut scratch, &mut order)
+            .is_none());
         cv.install_model(toy_model());
         for x in [1.0, 9.0] {
             let (features, _) = cv.evaluate_features(&x);
-            let order = cv.predict_ranked(&features).unwrap();
+            let predicted = cv.predict_rank_into(&features, &mut scratch, &mut order);
+            assert_eq!(predicted, cv.select(&features));
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1]);
-            assert_eq!(order[0], cv.select(&features).unwrap());
+            assert_eq!(order[0], predicted.unwrap());
         }
     }
 

@@ -72,4 +72,4 @@ pub use variant::{FnVariant, Objective, Variant};
 
 // Re-export the ML types that appear in this crate's public API, so
 // downstream crates don't need a direct nitro-ml dependency for basic use.
-pub use nitro_ml::{ClassifierConfig, TrainedModel};
+pub use nitro_ml::{ClassifierConfig, PredictScratch, TrainedModel};

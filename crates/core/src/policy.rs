@@ -69,10 +69,20 @@ impl TuningPolicy {
     /// registered features: either the configured subset (invalid indices
     /// dropped) or all of them.
     pub fn active_features(&self, n_features: usize) -> Vec<usize> {
-        match &self.feature_subset {
-            Some(subset) => subset.iter().copied().filter(|&i| i < n_features).collect(),
-            None => (0..n_features).collect(),
-        }
+        self.active_feature_indices(n_features).collect()
+    }
+
+    /// [`TuningPolicy::active_features`] without collecting them, for
+    /// the dispatch path, which must not allocate an index list per call.
+    pub(crate) fn active_feature_indices(
+        &self,
+        n_features: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let (all, subset) = match self.feature_subset.as_deref() {
+            Some(subset) => (0..0, subset),
+            None => (0..n_features, &[][..]),
+        };
+        all.chain(subset.iter().copied().filter(move |&i| i < n_features))
     }
 }
 

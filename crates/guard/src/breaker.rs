@@ -220,6 +220,12 @@ impl CircuitBreaker {
     /// Advance the cooldown clock by one guarded call. Returns `true`
     /// when this tick moved the breaker from Open to HalfOpen.
     pub fn tick(&self) -> bool {
+        // Only an Open breaker has a clock to advance. Skipping the CAS
+        // for any other state is the same as this tick landing before a
+        // concurrent trip, so one load suffices on the common path.
+        if self.state.load(Ordering::SeqCst) >> TAG_SHIFT != TAG_OPEN {
+            return false;
+        }
         self.transition(|state| match state {
             BreakerState::Open { remaining_cooldown } if remaining_cooldown <= 1 => {
                 (BreakerState::HalfOpen { successes: 0 }, true)

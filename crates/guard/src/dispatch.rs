@@ -34,14 +34,32 @@
 //! plus `guard.<fn>.{calls,failure,fallback,recovered}` counters and a
 //! `guard:<fn>` instant per state transition.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use nitro_audit::AuditedInstall;
-use nitro_core::{CodeVariant, ModelArtifact, NitroError, Result};
+use nitro_core::{CodeVariant, ModelArtifact, NitroError, PredictScratch, Result};
 
 use crate::audit::audit_guard_policy;
 use crate::breaker::{BreakerState, CircuitBreaker, GuardPolicy, Transition};
+
+thread_local! {
+    /// Model-evaluation buffers for the guarded calls made on this
+    /// thread. A serve worker owns its thread, so each shard gets its
+    /// own arena and steady-state planning allocates nothing beyond the
+    /// cascade it returns.
+    static PREDICT_SCRATCH: RefCell<PredictScratch> = RefCell::default();
+}
+
+/// What one model evaluation cost, for the dispatch observer.
+#[derive(Debug, Clone, Copy, Default)]
+struct ModelCost {
+    kernel_evals: u64,
+    /// Zero unless an observer asked for the clock to be read.
+    predict_wall_ns: u64,
+}
 
 /// Whether the guard is serving model-driven or degraded traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -581,34 +599,57 @@ impl<I: ?Sized> GuardedVariant<I> {
     /// Breaker availability is *not* applied here — quarantine is a
     /// dispatch-time decision (see [`GuardedVariant::call`]).
     pub fn plan_cascade(&self, features: &[f64], input: &I) -> Vec<usize> {
+        self.plan(features, input, false).0
+    }
+
+    /// [`GuardedVariant::plan_cascade`], plus what the model evaluation
+    /// cost: its kernel evaluations always, its wall time when `timed`.
+    /// The model is evaluated once: the prediction and the ranking come
+    /// from one decision pass.
+    fn plan(&self, features: &[f64], input: &I, timed: bool) -> (Vec<usize>, ModelCost) {
+        let mut cost = ModelCost::default();
         let n = self.cv.n_variants();
         if n == 0 {
-            return Vec::new();
+            return (Vec::new(), cost);
         }
         let default = self.cv.default_variant().filter(|&d| d < n);
         if self.shared.health.is_degraded() {
-            return default.into_iter().collect();
+            return (default.into_iter().collect(), cost);
         }
+        // The ranking is written straight into the cascade, then
+        // reordered and filtered in place.
         let mut cascade = Vec::with_capacity(n + 1);
-        if let Some(pred) = self.cv.select(features) {
-            let pred = pred.min(n - 1);
-            let ranked = self
+        let start = timed.then(Instant::now);
+        // Borrow the scratch across the model evaluation only: the
+        // constraint and variant code that runs later may make a guarded
+        // call of its own on this thread.
+        let predicted = PREDICT_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            let predicted = self
                 .cv
-                .predict_ranked(features)
-                .unwrap_or_else(|| (0..n).collect());
-            for v in std::iter::once(pred).chain(ranked) {
-                if cascade.contains(&v) {
-                    continue;
-                }
-                if Some(v) == default && v != pred {
+                .predict_rank_into(features, &mut scratch, &mut cascade);
+            cost.kernel_evals = scratch.take_kernel_evals();
+            predicted
+        });
+        if let Some(start) = start {
+            cost.predict_wall_ns = start.elapsed().as_nanos() as u64;
+        }
+        if let Some(pred) = predicted {
+            let pred = pred.min(n - 1);
+            // Lead with the prediction; the rest keep their rank order.
+            match cascade.iter().position(|&v| v == pred) {
+                Some(k) => cascade[..=k].rotate_right(1),
+                None => cascade.insert(0, pred),
+            }
+            cascade.retain(|&v| {
+                if Some(v) == default {
                     // Reserve the default for the terminal slot unless
                     // the model predicts it outright.
-                    continue;
+                    v == pred
+                } else {
+                    self.cv.constraints_satisfied(v, input)
                 }
-                if Some(v) == default || self.cv.constraints_satisfied(v, input) {
-                    cascade.push(v);
-                }
-            }
+            });
         }
         // The default terminates every cascade (the paper's veto
         // fallback target), even when constraints disfavor it — matching
@@ -617,7 +658,7 @@ impl<I: ?Sized> GuardedVariant<I> {
         if cascade.first() != default.as_ref() {
             cascade.extend(default);
         }
-        cascade
+        (cascade, cost)
     }
 
     /// The full resilient dispatch pipeline. Takes `&self`: every piece
@@ -633,6 +674,19 @@ impl<I: ?Sized> GuardedVariant<I> {
     where
         I: Sync,
     {
+        let (features, feature_cost_ns) = self.cv.evaluate_features(input);
+        self.call_with_features(input, features, feature_cost_ns)
+    }
+
+    /// [`GuardedVariant::call`] for an input whose features the caller
+    /// has already evaluated with [`CodeVariant::evaluate_features`]
+    /// (for a regime-cache lookup, say), so they are not evaluated twice.
+    pub fn call_with_features(
+        &self,
+        input: &I,
+        features: Vec<f64>,
+        feature_cost_ns: f64,
+    ) -> Result<GuardedInvocation> {
         if self.cv.n_variants() == 0 {
             return Err(NitroError::NoVariants);
         }
@@ -643,9 +697,9 @@ impl<I: ?Sized> GuardedVariant<I> {
         }
 
         let tracer = self.cv.context().tracer();
-        let name = self.cv.name().to_string();
-        let (features, feature_cost_ns) = self.cv.evaluate_features(input);
-        let cascade = self.plan_cascade(&features, input);
+        let name = self.cv.name();
+        let observer = self.cv.dispatch_observer();
+        let (cascade, model_cost) = self.plan(&features, input, observer.is_some());
         let degraded = shared.health.is_degraded();
 
         let mut span = tracer.as_ref().map(|t| {
@@ -683,8 +737,9 @@ impl<I: ?Sized> GuardedVariant<I> {
         let mut retries = 0u32;
         let mut backoff_ns = 0.0f64;
         let mut last_failure: Option<NitroError> = None;
+        let mut served = None;
 
-        for &candidate in &cascade {
+        'cascade: for &candidate in &cascade {
             // Late-registered variants beyond the shared bank dispatch
             // without quarantine tracking (see `sync_breakers`).
             let breaker = shared.breakers.get(candidate);
@@ -727,66 +782,8 @@ impl<I: ?Sized> GuardedVariant<I> {
                                 );
                             }
                         }
-                        let fell_back = candidate != cascade[0];
-                        if fell_back {
-                            shared.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-                            if let Some(t) = &tracer {
-                                t.metrics().inc(&format!("guard.{name}.fallback"));
-                            }
-                            if let Some(p) = &self.pulse {
-                                p.fallback.inc();
-                            }
-                        }
-                        if let Some(s) = span.as_mut() {
-                            s.end_arg("chosen", nitro_trace::val(&candidate));
-                            s.end_arg("attempts", nitro_trace::val(&attempts));
-                            s.end_arg("objective", nitro_trace::val(&objective));
-                        }
-                        // Guarded calls bypass CodeVariant::dispatch, so
-                        // fire its observer hook here: telemetry layers
-                        // see guarded and unguarded dispatches alike.
-                        if let Some(obs) = self.cv.dispatch_observer() {
-                            let intended = cascade[0];
-                            let chosen_v = self.cv.variant(candidate);
-                            let intended_v = self.cv.variant(intended);
-                            obs.on_dispatch(&nitro_core::DispatchObservation {
-                                function: self.cv.name(),
-                                variant: candidate,
-                                variant_name: chosen_v
-                                    .as_deref()
-                                    .map(|v| v.name())
-                                    .unwrap_or_default(),
-                                intended,
-                                intended_name: intended_v
-                                    .as_deref()
-                                    .map(|v| v.name())
-                                    .unwrap_or_default(),
-                                fell_back,
-                                objective_ns: objective,
-                                feature_cost_ns,
-                                predict_wall_ns: 0,
-                                kernel_evals: 0,
-                                features: &features,
-                                via_async: false,
-                            });
-                        }
-                        return Ok(GuardedInvocation {
-                            variant: candidate,
-                            variant_name: self
-                                .cv
-                                .variant(candidate)
-                                .map(|v| v.name().to_string())
-                                .unwrap_or_default(),
-                            objective,
-                            features,
-                            feature_cost_ns,
-                            attempts,
-                            retries,
-                            backoff_ns,
-                            cascade: cascade.clone(),
-                            fell_back,
-                            degraded,
-                        });
+                        served = Some((candidate, objective));
+                        break 'cascade;
                     }
                     Err(e) => {
                         shared.stats.failures.fetch_add(1, Ordering::Relaxed);
@@ -840,17 +837,70 @@ impl<I: ?Sized> GuardedVariant<I> {
             }
         }
 
-        if let Some(s) = span.as_mut() {
-            s.end_arg("exhausted", nitro_trace::val(&true));
-            s.end_arg("attempts", nitro_trace::val(&attempts));
-        }
-        let detail = match last_failure {
-            Some(e) => format!("cascade {cascade:?} exhausted; last failure: {e}"),
-            None => format!("cascade {cascade:?} entirely quarantined"),
+        let Some((candidate, objective)) = served else {
+            if let Some(s) = span.as_mut() {
+                s.end_arg("exhausted", nitro_trace::val(&true));
+                s.end_arg("attempts", nitro_trace::val(&attempts));
+            }
+            let detail = match last_failure {
+                Some(e) => format!("cascade {cascade:?} exhausted; last failure: {e}"),
+                None => format!("cascade {cascade:?} entirely quarantined"),
+            };
+            return Err(NitroError::NoHealthyVariant {
+                function: name.to_string(),
+                detail,
+            });
         };
-        Err(NitroError::NoHealthyVariant {
-            function: name,
-            detail,
+
+        let fell_back = candidate != cascade[0];
+        if fell_back {
+            shared.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
+            if let Some(t) = &tracer {
+                t.metrics().inc(&format!("guard.{name}.fallback"));
+            }
+            if let Some(p) = &self.pulse {
+                p.fallback.inc();
+            }
+        }
+        if let Some(s) = span.as_mut() {
+            s.end_arg("chosen", nitro_trace::val(&candidate));
+            s.end_arg("attempts", nitro_trace::val(&attempts));
+            s.end_arg("objective", nitro_trace::val(&objective));
+        }
+        let chosen_v = self.cv.variant(candidate);
+        // Guarded calls bypass CodeVariant::dispatch, so fire its
+        // observer hook here: telemetry layers see guarded and unguarded
+        // dispatches alike.
+        if let Some(obs) = observer {
+            let intended = cascade[0];
+            let intended_v = self.cv.variant(intended);
+            obs.on_dispatch(&nitro_core::DispatchObservation {
+                function: name,
+                variant: candidate,
+                variant_name: chosen_v.as_deref().map(|v| v.name()).unwrap_or_default(),
+                intended,
+                intended_name: intended_v.as_deref().map(|v| v.name()).unwrap_or_default(),
+                fell_back,
+                objective_ns: objective,
+                feature_cost_ns,
+                predict_wall_ns: model_cost.predict_wall_ns,
+                kernel_evals: model_cost.kernel_evals,
+                features: &features,
+                via_async: false,
+            });
+        }
+        Ok(GuardedInvocation {
+            variant: candidate,
+            variant_name: chosen_v.map(|v| v.name().to_string()).unwrap_or_default(),
+            objective,
+            features,
+            feature_cost_ns,
+            attempts,
+            retries,
+            backoff_ns,
+            cascade,
+            fell_back,
+            degraded,
         })
     }
 }
@@ -860,7 +910,7 @@ mod tests {
     use super::*;
     use nitro_core::{Context, FnFeature, FnVariant};
     use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
     /// Toy function: variant 0 wins for x < 5, variant 1 for x ≥ 5.
@@ -919,6 +969,100 @@ mod tests {
         assert!(!inv.fell_back);
         assert!(!inv.degraded);
         assert_eq!(inv.attempts, 1);
+    }
+
+    /// Sums what guarded dispatches report to the observer hook.
+    #[derive(Default)]
+    struct CountingObserver {
+        calls: AtomicU64,
+        kernel_evals: AtomicU64,
+        timed: AtomicU64,
+    }
+
+    impl nitro_core::DispatchObserver for CountingObserver {
+        fn on_dispatch(&self, o: &nitro_core::DispatchObservation<'_>) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.kernel_evals
+                .fetch_add(o.kernel_evals, Ordering::Relaxed);
+            self.timed
+                .fetch_add(u64::from(o.predict_wall_ns > 0), Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn observations_report_the_model_evaluation() {
+        let ctx = Context::new();
+        let mut cv = toy(&ctx);
+        let data = Dataset::from_parts(
+            (0..10).map(|i| vec![i as f64]).collect(),
+            (0..10).map(|i| usize::from(i >= 5)).collect(),
+        );
+        let model = TrainedModel::train(
+            &ClassifierConfig::Svm {
+                c: Some(10.0),
+                gamma: Some(0.5),
+                grid_search: false,
+                cache_bytes: None,
+            },
+            &data,
+        );
+        let TrainedModel::Svm { model: svm, .. } = &model else {
+            panic!("an SVM config trains an SVM");
+        };
+        // One kernel pass per call: each unique support vector once.
+        let per_call = svm.compiled().n_unique_svs() as u64;
+        assert!(per_call > 0);
+        cv.install_model(model);
+        let observer = Arc::new(CountingObserver::default());
+        cv.set_dispatch_observer(observer.clone());
+        let guard = GuardedVariant::new(cv, quick_policy()).unwrap();
+        for x in [1.0, 9.0, 4.0] {
+            guard.call(&x).unwrap();
+        }
+        assert_eq!(observer.calls.load(Ordering::Relaxed), 3);
+        assert_eq!(observer.kernel_evals.load(Ordering::Relaxed), 3 * per_call);
+        assert_eq!(
+            observer.timed.load(Ordering::Relaxed),
+            3,
+            "an observer gets the predict wall time"
+        );
+    }
+
+    #[test]
+    fn guarded_calls_nest_inside_constraints_and_variants() {
+        // The thread's model scratch is borrowed only while the model
+        // runs, so user code may make guarded calls of its own.
+        let ctx = Context::new();
+        let mut inner = toy(&ctx);
+        inner.install_model(toy_model());
+        let inner = Arc::new(GuardedVariant::new(inner, quick_policy()).unwrap());
+        let mut outer = toy(&ctx);
+        let nested = inner.clone();
+        outer
+            .replace_variant(
+                1,
+                Arc::new(FnVariant::new("large", move |&x: &f64| {
+                    nested.call(&x).unwrap().objective
+                })),
+            )
+            .unwrap();
+        let nested = inner.clone();
+        outer
+            .add_constraint(
+                1,
+                nitro_core::FnConstraint::new("nested", move |&x: &f64| nested.call(&x).is_ok()),
+            )
+            .unwrap();
+        outer.install_model(toy_model());
+        let outer = GuardedVariant::new(outer, quick_policy()).unwrap();
+        let inv = outer.call(&9.0).unwrap();
+        assert_eq!(inv.variant, 1);
+        assert_eq!(inv.objective, 10.0 - 9.0 * 0.5);
+        assert_eq!(
+            inner.stats().calls,
+            2,
+            "one from the constraint, one from the variant"
+        );
     }
 
     #[test]

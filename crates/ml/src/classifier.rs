@@ -15,7 +15,7 @@ use crate::grid::{GridResult, GridSearch};
 use crate::kernel::Kernel;
 use crate::knn::KnnModel;
 use crate::scale::Scaler;
-use crate::svm::compiled::SvmScratch;
+use crate::svm::compiled::{rank_by_posterior, SvmScratch};
 use crate::svm::multiclass::{SvmModel, SvmTrainStats};
 use crate::svm::smo::SmoParams;
 use crate::tree::{TreeModel, TreeParams};
@@ -112,9 +112,10 @@ pub enum TrainedModel {
     },
 }
 
-/// Reusable buffers for [`TrainedModel::predict_into`]: the scaled
-/// feature vector plus the compiled-SVM scratch. One instance per
-/// dispatch site makes steady-state prediction allocation-free.
+/// Reusable buffers for [`TrainedModel::predict_into`] and
+/// [`TrainedModel::predict_rank_into`]: the scaled feature vector plus
+/// the compiled-SVM scratch. One instance per dispatch site makes
+/// steady-state prediction allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
     scaled: Vec<f64>,
@@ -283,14 +284,34 @@ impl TrainedModel {
     /// is the posterior argmax; resilient dispatch walks the rest as its
     /// fallback order when preferred variants are unavailable.
     pub fn rank(&self, features: &[f64]) -> Vec<usize> {
-        let p = self.probabilities(features);
-        let mut order: Vec<usize> = (0..p.len()).collect();
-        order.sort_by(|&a, &b| {
-            p[b].partial_cmp(&p[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        let mut order = Vec::new();
+        rank_by_posterior(&self.probabilities(features), &mut order);
         order
+    }
+
+    /// Predict and rank in one model evaluation: returns what
+    /// [`TrainedModel::predict_into`] returns and writes what
+    /// [`TrainedModel::rank`] returns into `ranked`, bit-identically. SVM
+    /// models scale the input once and run one kernel pass, allocating
+    /// nothing at steady state; non-SVM models call both.
+    pub fn predict_rank_into(
+        &self,
+        features: &[f64],
+        scratch: &mut PredictScratch,
+        ranked: &mut Vec<usize>,
+    ) -> usize {
+        match self {
+            TrainedModel::Svm { scaler, model, .. } => {
+                scaler.transform_into(features, &mut scratch.scaled);
+                model
+                    .compiled()
+                    .predict_rank_with(&scratch.scaled, &mut scratch.svm, ranked)
+            }
+            _ => {
+                *ranked = self.rank(features);
+                self.predict(features)
+            }
+        }
     }
 
     /// Best-vs-Second-Best margin (small = uncertain), the active-learning

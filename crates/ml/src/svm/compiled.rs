@@ -266,6 +266,17 @@ impl CompiledSvm {
             return self.fallback;
         }
         self.compute_decisions(x, s);
+        self.tally_votes(s);
+        if let Some(winner) = unique_winner(&s.votes) {
+            return winner;
+        }
+        // Only a tie needs the coupled posterior.
+        self.probabilities_from_decisions(s);
+        self.elect(s)
+    }
+
+    /// Count each machine's vote for the current decisions.
+    fn tally_votes(&self, s: &mut SvmScratch) {
         s.votes.clear();
         s.votes.resize(self.n_classes, 0);
         for (m, &d) in self.machines.iter().zip(&s.decisions) {
@@ -275,24 +286,13 @@ impl CompiledSvm {
                 s.votes[m.neg] += 1;
             }
         }
-        let max_votes = *s.votes.iter().max().unwrap();
-        let mut first_tied = usize::MAX;
-        let mut n_tied = 0usize;
-        for (c, &v) in s.votes.iter().enumerate() {
-            if v == max_votes {
-                n_tied += 1;
-                if first_tied == usize::MAX {
-                    first_tied = c;
-                }
-            }
-        }
-        if n_tied == 1 {
-            return first_tied;
-        }
-        // Break ties with the coupled posterior. `>=` on an ascending
-        // scan reproduces `Iterator::max_by`, which keeps the last of
-        // equally-maximal elements.
-        self.probabilities_from_decisions(s);
+    }
+
+    /// The most-voted class, ties broken by the posterior in `s.probs`.
+    fn elect(&self, s: &SvmScratch) -> usize {
+        let max_votes = s.votes.iter().copied().max().unwrap_or(0);
+        // `>=` on an ascending scan reproduces `Iterator::max_by`, which
+        // keeps the last of equally-maximal elements.
         let mut best = self.fallback;
         let mut best_p = f64::NEG_INFINITY;
         let mut seen = false;
@@ -323,14 +323,23 @@ impl CompiledSvm {
     /// `TrainedModel::rank` ordering bit-for-bit.
     pub fn rank_into(&self, x: &[f64], s: &mut SvmScratch, out: &mut Vec<usize>) {
         self.probabilities_with(x, s);
-        let p = &s.probs;
-        out.clear();
-        out.extend(0..p.len());
-        out.sort_by(|&a, &b| {
-            p[b].partial_cmp(&p[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        rank_by_posterior(&s.probs, out);
+    }
+
+    /// Predict and rank from one decision pass: the vote winner (as
+    /// [`CompiledSvm::predict_with`] returns it) and the posterior
+    /// ranking (as [`CompiledSvm::rank_into`] writes it into `out`),
+    /// bit-identical to calling both, with each unique kernel value
+    /// evaluated once instead of twice. Zero allocations at steady state.
+    pub fn predict_rank_with(&self, x: &[f64], s: &mut SvmScratch, out: &mut Vec<usize>) -> usize {
+        self.compute_decisions(x, s);
+        self.probabilities_from_decisions(s);
+        rank_by_posterior(&s.probs, out);
+        if self.machines.is_empty() {
+            return self.fallback;
+        }
+        self.tally_votes(s);
+        self.elect(s)
     }
 
     /// Allocating convenience wrapper over [`CompiledSvm::predict_with`].
@@ -345,6 +354,27 @@ impl CompiledSvm {
         self.probabilities_with(x, &mut s);
         s.probs
     }
+}
+
+/// The class with the most votes, or `None` when several tie.
+fn unique_winner(votes: &[usize]) -> Option<usize> {
+    let max_votes = votes.iter().copied().max()?;
+    let mut tied = (0..votes.len()).filter(|&c| votes[c] == max_votes);
+    let first = tied.next()?;
+    tied.next().is_none().then_some(first)
+}
+
+/// Write the classes of posterior `p` into `out`, most probable first,
+/// ties toward the lower class index. The one ordering every ranking
+/// path shares.
+pub(crate) fn rank_by_posterior(p: &[f64], out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(0..p.len());
+    out.sort_by(|&a, &b| {
+        p[b].partial_cmp(&p[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
 }
 
 /// Interior cell holding the lazily-compiled engine inside [`SvmModel`].

@@ -1,7 +1,7 @@
 //! Property-based tests for the learning subsystem.
 
 use nitro_ml::svm::smo::{solve, solve_reference, SmoParams};
-use nitro_ml::{ClassifierConfig, Dataset, Kernel, Scaler, SvmModel, TrainedModel};
+use nitro_ml::{ClassifierConfig, Dataset, Kernel, PredictScratch, Scaler, SvmModel, TrainedModel};
 use proptest::prelude::*;
 
 proptest! {
@@ -94,6 +94,43 @@ proptest! {
             for (a, b) in reference.iter().zip(&fast) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
             }
+        }
+    }
+
+    /// One decision pass predicts and ranks bit-identically to
+    /// `predict_into` followed by `rank`, with the same kernel work as
+    /// the predict alone: on 3- and 4-class SVMs, on single-class SVMs
+    /// (no pair machines, with one or three class labels) and on kNN.
+    #[test]
+    fn predict_rank_matches_predict_then_rank(
+        pts in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 9..30),
+        queries in prop::collection::vec((-12.0f64..12.0, -12.0f64..12.0), 1..8),
+        scheme in 0usize..5,
+        gamma in 0.05f64..4.0,
+    ) {
+        let x: Vec<Vec<f64>> = pts.iter().map(|&(a, b)| vec![a, b]).collect();
+        let y: Vec<usize> = (0..x.len())
+            .map(|i| match scheme {
+                0 | 4 => i % 3,
+                1 => i % 4,
+                2 => 0,
+                _ => 2,
+            })
+            .collect();
+        let config = if scheme == 4 {
+            ClassifierConfig::Knn { k: 3 }
+        } else {
+            ClassifierConfig::Svm { c: Some(5.0), gamma: Some(gamma), grid_search: false, cache_bytes: None }
+        };
+        let m = TrainedModel::train(&config, &Dataset::from_parts(x, y));
+        let (mut fused, mut reference) = (PredictScratch::default(), PredictScratch::default());
+        let mut ranked = Vec::new();
+        for q in &queries {
+            let q = vec![q.0, q.1];
+            let predicted = m.predict_rank_into(&q, &mut fused, &mut ranked);
+            prop_assert_eq!(predicted, m.predict_into(&q, &mut reference));
+            prop_assert_eq!(&ranked, &m.rank(&q));
+            prop_assert_eq!(fused.take_kernel_evals(), reference.take_kernel_evals());
         }
     }
 
@@ -205,4 +242,55 @@ fn large_training_set_stays_inside_cache_budget() {
         correct as f64 / n as f64 > 0.9,
         "only {correct}/{n} training rows classified correctly"
     );
+}
+
+/// Vote ties take the posterior tie-break, the one branch where predict
+/// and rank read the same coupled posterior. A dense grid over a 4-class
+/// model must hit ties, and the single-pass path must match
+/// `predict_into` + `rank` on every grid point.
+#[test]
+fn predict_rank_matches_on_vote_ties() {
+    let x: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            let t = f64::from(i) * 2.399_963;
+            let r = 1.0 + f64::from(i % 7) * 0.5;
+            vec![r * t.cos(), r * t.sin()]
+        })
+        .collect();
+    let y: Vec<usize> = (0..x.len()).map(|i| i % 4).collect();
+    let config = ClassifierConfig::Svm {
+        c: Some(1.0),
+        gamma: Some(0.5),
+        grid_search: false,
+        cache_bytes: None,
+    };
+    let m = TrainedModel::train(&config, &Dataset::from_parts(x, y));
+    let TrainedModel::Svm { scaler, model, .. } = &m else {
+        panic!("an SVM config trains an SVM");
+    };
+    let (mut fused, mut reference) = (PredictScratch::default(), PredictScratch::default());
+    let mut ranked = Vec::new();
+    let mut ties = 0;
+    for i in -24..=24 {
+        for j in -24..=24 {
+            let q = vec![f64::from(i) * 0.25, f64::from(j) * 0.25];
+            let scaled = scaler.transform(&q);
+            let mut votes = [0usize; 4];
+            for pm in model.machines() {
+                let winner = if pm.svm.decision(&scaled) >= 0.0 {
+                    pm.pos
+                } else {
+                    pm.neg
+                };
+                votes[winner] += 1;
+            }
+            let max = *votes.iter().max().unwrap();
+            ties += usize::from(votes.iter().filter(|&&v| v == max).count() > 1);
+
+            let predicted = m.predict_rank_into(&q, &mut fused, &mut ranked);
+            assert_eq!(predicted, m.predict_into(&q, &mut reference), "at {q:?}");
+            assert_eq!(ranked, m.rank(&q), "at {q:?}");
+        }
+    }
+    assert!(ties > 0, "the grid must exercise the tie-break");
 }

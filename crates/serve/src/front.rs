@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use nitro_core::{CodeVariant, Diagnostic, ModelArtifact, NitroError, RequestMeta, Result};
-use nitro_guard::{GuardPolicy, GuardShared, GuardedVariant};
+use nitro_guard::{GuardPolicy, GuardShared, GuardedInvocation, GuardedVariant};
 use nitro_pulse::{PulseAlert, PulseRegistry};
 use nitro_store::StagedPromotion;
 
@@ -768,6 +768,8 @@ fn worker_loop<I: Send + Sync + 'static>(
     let mut local_version = initial_version;
     // Smoothed service-time estimate (EWMA, α = 1/8), ns. Zero until
     // the first completion; hopeless-shedding stays off until then.
+    // Each hopeless shed counts as a zero-cost sample, so one slow
+    // dispatch cannot lift the estimate above every budget for good.
     let mut ewma_ns = 0.0f64;
     let capacity = inner.config.queue_capacity.expect("audited Some");
 
@@ -805,6 +807,7 @@ fn worker_loop<I: Send + Sync + 'static>(
                 remaining_ns: remaining,
                 estimate_ns: ewma_ns as u64,
             });
+            ewma_ns -= ewma_ns / 8.0;
             continue;
         }
 
@@ -1294,13 +1297,18 @@ fn dispatch_at_tier<I: Sync>(
     input: &I,
 ) -> Result<Dispatched> {
     match tier {
-        DegradeTier::Full => full_dispatch(guard, tier, input),
+        DegradeTier::Full => guard.call(input).map(|inv| guarded(tier, inv)),
         DegradeTier::CachedRegime => {
-            let (features, _) = guard.inner().evaluate_features(input);
+            let (features, feature_cost_ns) = guard.inner().evaluate_features(input);
             let fp = regime_fingerprint(&features);
             if let Some(variant) = cache.lookup(fp) {
-                // Quarantine still applies in the degraded tiers.
-                if !guard.is_quarantined(variant) {
+                // Quarantine and constraint vetoes still apply in the
+                // degraded tiers: a regime bucket spans a 2× range per
+                // feature, so the input that filled the slot may have
+                // passed a constraint this one fails. A veto is a miss.
+                if !guard.is_quarantined(variant)
+                    && guard.inner().constraints_satisfied(variant, input)
+                {
                     if let Ok(objective) = guard.inner().try_run_variant(variant, input) {
                         return Ok(Dispatched {
                             variant,
@@ -1316,9 +1324,11 @@ fn dispatch_at_tier<I: Sync>(
                     }
                 }
             }
-            // Miss (or the cached variant failed): one full predict,
-            // then remember the regime's winner.
-            let d = full_dispatch(guard, tier, input)?;
+            // Miss (or the cached variant failed): one full predict over
+            // the features already in hand, then remember the regime's
+            // winner.
+            let inv = guard.call_with_features(input, features, feature_cost_ns)?;
+            let d = guarded(tier, inv);
             cache.insert(fp, d.variant);
             Ok(d)
         }
@@ -1341,22 +1351,65 @@ fn dispatch_at_tier<I: Sync>(
             }
             // Default quarantined or failed: fall back to the guarded
             // cascade rather than failing the request.
-            full_dispatch(guard, tier, input)
+            guard.call(input).map(|inv| guarded(tier, inv))
         }
     }
 }
 
-fn full_dispatch<I: Sync>(
-    guard: &GuardedVariant<I>,
-    tier: DegradeTier,
-    input: &I,
-) -> Result<Dispatched> {
-    let inv = guard.call(input)?;
-    Ok(Dispatched {
+/// A request served through the guarded cascade at `tier`.
+fn guarded(tier: DegradeTier, inv: GuardedInvocation) -> Dispatched {
+    Dispatched {
         variant: inv.variant,
         variant_name: inv.variant_name,
         objective: inv.objective,
         tier,
         fell_back: inv.fell_back,
-    })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nitro_core::{Context, FnConstraint, FnFeature, FnVariant};
+    use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
+
+    /// `large` is the model's pick everywhere but is vetoed from 5 up;
+    /// `small` is the default. Every feature evaluation bumps `evals`.
+    fn vetoing_guard(evals: Arc<AtomicU64>) -> GuardedVariant<f64> {
+        let mut cv = CodeVariant::new("veto", &Context::new());
+        cv.add_variant(FnVariant::new("small", |&x: &f64| 1.0 + x));
+        cv.add_variant(FnVariant::new("large", |&x: &f64| 10.0 - x));
+        cv.set_default(0);
+        cv.add_input_feature(FnFeature::new("x", move |&x: &f64| {
+            evals.fetch_add(1, Ordering::SeqCst);
+            x
+        }));
+        cv.add_constraint(1, FnConstraint::new("x < 5", |&x: &f64| x < 5.0))
+            .unwrap();
+        let data = Dataset::from_parts((0..4).map(|i| vec![f64::from(i)]).collect(), vec![1; 4]);
+        cv.install_model(TrainedModel::train(&ClassifierConfig::Knn { k: 1 }, &data));
+        GuardedVariant::new(cv, GuardPolicy::default()).unwrap()
+    }
+
+    #[test]
+    fn cached_regime_honours_constraint_vetoes() {
+        let evals = Arc::new(AtomicU64::new(0));
+        let guard = vetoing_guard(evals.clone());
+        let mut cache = RegimeCache::default();
+        // 4.5 and 6 share the [4, 8) bucket, but only 4.5 passes `large`'s
+        // constraint.
+        assert_eq!(regime_fingerprint(&[4.5]), regime_fingerprint(&[6.0]));
+
+        let first = dispatch_at_tier(&guard, &mut cache, DegradeTier::CachedRegime, &4.5).unwrap();
+        assert_eq!(first.variant_name, "large", "a miss runs the full cascade");
+        let second = dispatch_at_tier(&guard, &mut cache, DegradeTier::CachedRegime, &6.0).unwrap();
+        assert_eq!(
+            second.variant_name, "small",
+            "the cached `large` is vetoed for 6, so the veto is a miss"
+        );
+        assert!(guard.inner().constraints_satisfied(second.variant, &6.0));
+        // Both requests missed, and each evaluated its features once: the
+        // guarded call reused the features of the cache lookup.
+        assert_eq!(evals.load(Ordering::SeqCst), 2);
+    }
 }

@@ -391,6 +391,67 @@ fn hopeless_requests_are_shed_against_the_service_estimate() {
 }
 
 #[test]
+fn one_slow_dispatch_does_not_lock_the_shard_out() {
+    let runs = Arc::new(AtomicU64::new(0));
+    let registry = PulseRegistry::new();
+    let gate = Gate::new();
+    let (clock, hand) = ServeClock::manual();
+    let front = ServeFront::start(
+        test_config(), // hopeless_shedding: true
+        GuardPolicy::default(),
+        clock.clone(),
+        Some(&registry),
+        {
+            let runs = runs.clone();
+            let gate = gate.clone();
+            move |_| toy_cv(&Context::new(), runs.clone(), Some(gate.clone()))
+        },
+    )
+    .unwrap();
+
+    // One dispatch (a preempted worker, say) takes 100 ms of manual time:
+    // the service estimate starts 100× above every 1 ms budget below.
+    let blocker = front
+        .submit(-1.0, meta(&clock, 1, Priority::Interactive, u64::MAX / 2))
+        .unwrap();
+    gate.wait_entered();
+    hand.store(100_000_000, Ordering::SeqCst);
+    gate.release();
+    assert!(matches!(blocker.wait(), ServeOutcome::Served { .. }));
+
+    // Each hopeless shed is a zero-cost sample (α = 1/8), so the estimate
+    // falls below 1 ms after ⌈ln 100 / ln(8/7)⌉ = 35 sheds and the shard
+    // serves again. Without the decay it would shed forever.
+    let bound = (100f64.ln() / (8.0f64 / 7.0).ln()).ceil() as usize;
+    let mut sheds = 0;
+    loop {
+        let ticket = front
+            .submit(1.0, meta(&clock, 2, Priority::Standard, 1_000_000))
+            .unwrap();
+        match ticket.wait() {
+            ServeOutcome::ShedHopeless { .. } => sheds += 1,
+            ServeOutcome::Served { .. } => break,
+            other => panic!("expected a shed or a serve, got {other:?}"),
+        }
+        assert!(sheds <= bound, "still shedding after {sheds} requests");
+    }
+    assert!(sheds > 0, "the slow dispatch must have lifted the estimate");
+    // The recovered shard keeps serving feasible requests.
+    for _ in 0..5 {
+        let ticket = front
+            .submit(1.0, meta(&clock, 2, Priority::Standard, 1_000_000))
+            .unwrap();
+        assert!(matches!(ticket.wait(), ServeOutcome::Served { .. }));
+    }
+    front.shutdown();
+    assert_eq!(runs.load(Ordering::SeqCst), 7, "blocker + six served");
+    assert_eq!(
+        registry.counter_value("serve.toy.shed_hopeless"),
+        Some(sheds as u64)
+    );
+}
+
+#[test]
 fn hot_swap_mid_stream_changes_decisions_without_a_restart() {
     let runs = Arc::new(AtomicU64::new(0));
     let registry = PulseRegistry::new();

@@ -1,0 +1,93 @@
+//! Allocation gate for the guard's serving path: after warm-up, an
+//! untraced `GuardedVariant::call` allocates only the values it returns.
+//!
+//! A counting global allocator measures whole batches of calls, so this
+//! file holds exactly one test: nothing else may allocate while it runs.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn untraced_guarded_call_allocates_only_its_result() {
+    use nitro::core::{ClassifierConfig, CodeVariant, Context, FnConstraint, FnFeature, FnVariant};
+    use nitro::guard::{GuardPolicy, GuardedVariant};
+    use nitro::ml::{Dataset, TrainedModel};
+
+    // Three variants and a three-class SVM, so every call couples a
+    // posterior and ranks it; `wide` is vetoed on small inputs, so the
+    // cascade is filtered too.
+    let ctx = Context::new();
+    let mut cv = CodeVariant::<f64>::new("alloc", &ctx);
+    cv.add_variant(FnVariant::new("narrow", |&x: &f64| 1.0 + x));
+    cv.add_variant(FnVariant::new("mid", |&x: &f64| 5.0 + 0.5 * x));
+    cv.add_variant(FnVariant::new("wide", |&x: &f64| 20.0 - x));
+    cv.set_default(0);
+    cv.add_input_feature(FnFeature::new("x", |&x: &f64| x));
+    cv.add_input_feature(FnFeature::new("x2", |&x: &f64| x * x));
+    cv.add_constraint(2, FnConstraint::new("big", |&x: &f64| x > 3.0))
+        .unwrap();
+    let xs: Vec<f64> = (0..30).map(|i| f64::from(i) * 0.5).collect();
+    let data = Dataset::from_parts(
+        xs.iter().map(|&x| vec![x, x * x]).collect(),
+        xs.iter()
+            .map(|&x| usize::from(x >= 5.0) + usize::from(x >= 10.0))
+            .collect(),
+    );
+    cv.install_model(TrainedModel::train(
+        &ClassifierConfig::Svm {
+            c: Some(10.0),
+            gamma: Some(0.5),
+            grid_search: false,
+            cache_bytes: None,
+        },
+        &data,
+    ));
+    let guard = GuardedVariant::new(cv, GuardPolicy::default()).unwrap();
+
+    let run_batch = || {
+        for &x in &xs {
+            std::hint::black_box(guard.call(&x).unwrap());
+        }
+    };
+    // Warm-up: compiles the model and sizes this thread's scratch.
+    run_batch();
+
+    let first = allocations_during(run_batch);
+    let second = allocations_during(run_batch);
+    assert_eq!(first, second, "identical batches must allocate identically");
+    // The feature vector, the cascade and the variant name.
+    let per_call = first as f64 / xs.len() as f64;
+    assert!(
+        per_call <= 3.0,
+        "{per_call} allocations per guarded call, expected at most 3"
+    );
+}
