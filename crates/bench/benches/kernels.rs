@@ -66,47 +66,47 @@ fn bench_bfs_kernels(c: &mut Criterion) {
 }
 
 fn bench_histogram_kernels(c: &mut Criterion) {
+    use nitro_histogram::{Mapping, Method};
     let uniform = nitro_histogram::data::generate("uniform", 100_000, 3, "b");
     let cfg = DeviceConfig::fermi_c2050().noiseless();
 
     let mut g = c.benchmark_group("histogram_simulation");
     g.sample_size(20);
-    g.bench_function("shared_atomic_uniform_100k", |b| {
-        b.iter(|| {
-            nitro_histogram::run_variant(
-                nitro_histogram::Method::SharedAtomic,
-                nitro_histogram::Mapping::EvenShare,
-                black_box(&uniform),
-                &cfg,
-            )
-        })
-    });
-    g.bench_function("sort_based_uniform_100k", |b| {
-        b.iter(|| {
-            nitro_histogram::run_variant(
-                nitro_histogram::Method::Sort,
-                nitro_histogram::Mapping::EvenShare,
-                black_box(&uniform),
-                &cfg,
-            )
-        })
-    });
+    for (method, name) in [
+        (Method::SharedAtomic, "shared_atomic"),
+        (Method::GlobalAtomic, "global_atomic"),
+        (Method::Sort, "sort_based"),
+    ] {
+        g.bench_function(&format!("{name}_uniform_100k"), |b| {
+            b.iter(|| {
+                nitro_histogram::run_variant(method, Mapping::EvenShare, black_box(&uniform), &cfg)
+            })
+        });
+    }
     g.finish();
 }
 
 fn bench_sort_kernels(c: &mut Criterion) {
-    let keys32 = nitro_sort::keys::generate("uniform", 100_000, false, 5, "b32");
-    let keys64 = nitro_sort::keys::generate("almost_sorted", 100_000, true, 5, "b64");
+    use nitro_sort::Method;
     let cfg = DeviceConfig::fermi_c2050().noiseless();
 
     let mut g = c.benchmark_group("sort_simulation");
     g.sample_size(20);
-    g.bench_function("radix_uniform_f32_100k", |b| {
-        b.iter(|| nitro_sort::run_variant(nitro_sort::Method::Radix, black_box(&keys32), &cfg))
-    });
-    g.bench_function("locality_almost_sorted_f64_100k", |b| {
-        b.iter(|| nitro_sort::run_variant(nitro_sort::Method::Locality, black_box(&keys64), &cfg))
-    });
+    for category in ["uniform", "almost_sorted"] {
+        for wide in [false, true] {
+            let width = if wide { 64 } else { 32 };
+            let keys = nitro_sort::keys::generate(category, 100_000, wide, 5, "b");
+            for (method, name) in [
+                (Method::Merge, "merge"),
+                (Method::Locality, "locality"),
+                (Method::Radix, "radix"),
+            ] {
+                g.bench_function(&format!("{name}_{category}_f{width}_100k"), |b| {
+                    b.iter(|| nitro_sort::run_variant(method, black_box(&keys), &cfg))
+                });
+            }
+        }
+    }
     g.finish();
 }
 

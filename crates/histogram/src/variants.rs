@@ -89,10 +89,18 @@ fn run_atomic(
     let n = input.len();
     let mut counts = vec![0u64; N_BINS];
     // Device-wide bin popularity drives the global-contention term; it is
-    // exactly what the final histogram measures, so bin first.
-    for &v in &input.data {
-        counts[input.bin_of(v)] += 1;
-    }
+    // exactly what the final histogram measures, so bin first (once per
+    // sample: the kernel below replays the recorded bins).
+    const _: () = assert!(N_BINS <= 256, "bins are recorded as bytes");
+    let bins: Vec<u8> = input
+        .data
+        .iter()
+        .map(|&v| {
+            let bin = input.bin_of(v);
+            counts[bin] += 1;
+            bin as u8
+        })
+        .collect();
     let hot_share = if space == AtomicSpace::Global && n > 0 {
         *counts.iter().max().unwrap() as f64 / n as f64
     } else {
@@ -105,7 +113,6 @@ fn run_atomic(
     } else {
         "hist_global"
     };
-    let mut addrs: Vec<u64> = Vec::with_capacity(32);
     let stats = gpu.launch(kernel, blocks, schedule, |b, ctx| {
         let s0 = b * TILE;
         let s1 = (s0 + TILE).min(n);
@@ -116,15 +123,13 @@ fn run_atomic(
         ctx.coalesced((s1 - s0) as u64, 8);
         ctx.charge_ops(3 * (s1 - s0) as u64);
         // Warp-by-warp atomic updates with the tile's real bin pattern.
-        for w0 in (s0..s1).step_by(32) {
-            let w1 = (w0 + 32).min(s1);
-            addrs.clear();
-            addrs.extend(
-                input.data[w0..w1]
-                    .iter()
-                    .map(|&v| (input.bin_of(v) * 4) as u64),
-            );
-            ctx.warp_atomic(&addrs, space, hot_share);
+        let mut addrs = [0u64; 32];
+        for warp in bins[s0..s1].chunks(32) {
+            let lanes = &mut addrs[..warp.len()];
+            for (a, &bin) in lanes.iter_mut().zip(warp) {
+                *a = bin as u64 * 4;
+            }
+            ctx.warp_atomic(lanes, space, hot_share);
         }
         if space == AtomicSpace::Shared {
             // Merge the block's shared histogram into the global one.

@@ -24,12 +24,103 @@ pub enum AtomicSpace {
     Global,
 }
 
+/// Shared memory is split into 32 four-byte banks.
+const BANKS: usize = 32;
+
+/// Slots of a [`WarpTable`]: eight per lane keep linear probes short
+/// (a 64-slot table took twice the host time on random addresses).
+const SLOTS: usize = 8 * WARP_SIZE;
+
+/// Per-value lane counts for one warp's addresses, without sorting:
+/// an open-addressed table on the stack, cleared by bumping a
+/// generation stamp instead of rewriting the slots.
+struct WarpTable {
+    keys: [u64; SLOTS],
+    lanes: [u32; SLOTS],
+    stamps: [u32; SLOTS],
+    generation: u32,
+    /// Slot of the previous lane's value (`SLOTS` after a clear):
+    /// neighbouring lanes often share a segment or bin.
+    last: usize,
+}
+
+impl WarpTable {
+    fn new() -> Self {
+        Self {
+            keys: [0; SLOTS],
+            lanes: [0; SLOTS],
+            stamps: [0; SLOTS],
+            generation: 1,
+            last: SLOTS,
+        }
+    }
+
+    /// Start a new warp.
+    fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamps = [0; SLOTS];
+            self.generation = 1;
+        }
+        self.last = SLOTS;
+    }
+
+    /// Count one lane with value `key`; returns how many lanes of this
+    /// warp have had it so far (1 on its first occurrence). At most
+    /// [`WARP_SIZE`] distinct values fit between clears.
+    fn add(&mut self, key: u64) -> u32 {
+        if self.last == SLOTS || self.keys[self.last] != key {
+            let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOTS.ilog2())) as usize;
+            while self.stamps[i] == self.generation && self.keys[i] != key {
+                i = (i + 1) % SLOTS;
+            }
+            if self.stamps[i] != self.generation {
+                self.stamps[i] = self.generation;
+                self.keys[i] = key;
+                self.lanes[i] = 0;
+            }
+            self.last = i;
+        }
+        self.lanes[self.last] += 1;
+        self.lanes[self.last]
+    }
+
+    /// Number of distinct `key(a)` over one warp's addresses.
+    fn distinct(&mut self, chunk: &[u64], key: impl Fn(u64) -> u64) -> u64 {
+        self.clear();
+        chunk.iter().filter(|&&a| self.add(key(a)) == 1).count() as u64
+    }
+
+    /// One warp's conflicts: the largest same-address multiplicity, and
+    /// the worst bank's count of *distinct* addresses (the same address
+    /// broadcasts). Both are at least 1.
+    fn conflicts(&mut self, chunk: &[u64]) -> (u32, u32) {
+        self.clear();
+        let (mut max_mult, mut degree) = (1, 1);
+        let mut per_bank = [0u32; BANKS];
+        for &a in chunk {
+            let mult = self.add(a);
+            max_mult = max_mult.max(mult);
+            if mult == 1 {
+                let bank = &mut per_bank[((a / 4) % BANKS as u64) as usize];
+                *bank += 1;
+                degree = degree.max(*bank);
+            }
+        }
+        (max_mult, degree)
+    }
+}
+
 /// Cost-accounting context handed to the kernel body for each thread block.
+///
+/// The warp primitives count segments, multiplicities and bank conflicts
+/// with a [`WarpTable`] instead of sorting each warp's addresses: a host
+/// fast path that must charge bit-identical simulated costs.
 pub struct BlockCtx<'a> {
     cfg: &'a DeviceConfig,
     tex: &'a mut TexCache,
     tally: KernelTally,
-    scratch: Vec<u64>,
+    table: WarpTable,
 }
 
 impl<'a> BlockCtx<'a> {
@@ -38,12 +129,14 @@ impl<'a> BlockCtx<'a> {
             cfg,
             tex,
             tally: KernelTally::default(),
-            scratch: Vec::with_capacity(WARP_SIZE),
+            table: WarpTable::new(),
         }
     }
 
-    pub(crate) fn into_tally(self) -> KernelTally {
-        self.tally
+    /// Hand over the block's counters and start the next block from
+    /// zero; one context serves every block of a launch.
+    pub(crate) fn take_tally(&mut self) -> KernelTally {
+        std::mem::take(&mut self.tally)
     }
 
     /// The device this block runs on.
@@ -74,15 +167,9 @@ impl<'a> BlockCtx<'a> {
     pub fn warp_gather(&mut self, addrs: &[u64], elem_bytes: u32) {
         debug_assert!(elem_bytes > 0);
         for chunk in addrs.chunks(WARP_SIZE) {
-            self.scratch.clear();
-            for &a in chunk {
-                // Each element may straddle a segment boundary; charge the
-                // first segment only (straddles are rare for aligned data).
-                self.scratch.push(a / SEGMENT_BYTES);
-            }
-            self.scratch.sort_unstable();
-            self.scratch.dedup();
-            let tx = self.scratch.len() as u64;
+            // Each element may straddle a segment boundary; charge the
+            // first segment only (straddles are rare for aligned data).
+            let tx = self.table.distinct(chunk, |a| a / SEGMENT_BYTES);
             self.tally.transactions += tx;
             self.tally.dram_bytes += (tx * SEGMENT_BYTES) as f64;
             self.tally.memory_cycles += tx as f64 * self.cfg.cycles_per_transaction;
@@ -108,15 +195,19 @@ impl<'a> BlockCtx<'a> {
     pub fn tex_gather(&mut self, addrs: &[u64]) {
         let line = self.cfg.tex_line_bytes as u64;
         for chunk in addrs.chunks(WARP_SIZE) {
-            self.scratch.clear();
-            for &a in chunk {
-                self.scratch.push(a / line);
+            // Distinct lines in ascending order: the LRU state, and so
+            // every later hit or miss, depends on the access order.
+            let mut lines = [0u64; WARP_SIZE];
+            let lines = &mut lines[..chunk.len()];
+            for (l, &a) in lines.iter_mut().zip(chunk) {
+                *l = a / line;
             }
-            self.scratch.sort_unstable();
-            self.scratch.dedup();
-            for i in 0..self.scratch.len() {
-                let line_addr = self.scratch[i] * line;
-                if self.tex.access(line_addr) {
+            lines.sort_unstable();
+            for (i, &l) in lines.iter().enumerate() {
+                if i > 0 && lines[i - 1] == l {
+                    continue;
+                }
+                if self.tex.access(l * line) {
                     self.tally.tex_hits += 1;
                     self.tally.memory_cycles += self.cfg.tex_hit_cycles;
                 } else {
@@ -156,18 +247,9 @@ impl<'a> BlockCtx<'a> {
     /// (identical addresses broadcast for free). The charge per group is
     /// the worst bank's conflict degree.
     pub fn warp_shared_access(&mut self, addrs: &[u64]) {
-        const BANKS: usize = 32;
         const SHARED_ACCESS_CYCLES: f64 = 2.0;
         for chunk in addrs.chunks(WARP_SIZE) {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(chunk);
-            self.scratch.sort_unstable();
-            self.scratch.dedup(); // same address broadcasts
-            let mut per_bank = [0u32; BANKS];
-            for &a in &self.scratch {
-                per_bank[((a / 4) % BANKS as u64) as usize] += 1;
-            }
-            let degree = per_bank.iter().copied().max().unwrap_or(0).max(1);
+            let (_, degree) = self.table.conflicts(chunk);
             self.tally.compute_cycles += degree as f64 * SHARED_ACCESS_CYCLES;
         }
     }
@@ -185,34 +267,14 @@ impl<'a> BlockCtx<'a> {
             AtomicSpace::Global => self.cfg.global_atomic_cycles,
         };
         for chunk in addrs.chunks(WARP_SIZE) {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(chunk);
-            self.scratch.sort_unstable();
-            // Maximum same-address multiplicity within the warp.
-            let mut max_mult = 1u64;
-            let mut run = 1u64;
-            for i in 1..self.scratch.len() {
-                if self.scratch[i] == self.scratch[i - 1] {
-                    run += 1;
-                    max_mult = max_mult.max(run);
-                } else {
-                    run = 1;
-                }
-            }
+            let (max_mult, degree) = self.table.conflicts(chunk);
             let mut serialized = max_mult as f64;
             if space == AtomicSpace::Global {
                 serialized += self.cfg.hot_address_factor * hot_fraction.clamp(0.0, 1.0);
                 // Global atomics also move data.
                 self.tally.dram_bytes += (chunk.len() as u64 * 4) as f64;
             } else {
-                // Shared atomics additionally serialize on bank conflicts
-                // between *distinct* addresses (32 four-byte banks).
-                self.scratch.dedup();
-                let mut per_bank = [0u32; 32];
-                for &a in &self.scratch {
-                    per_bank[((a / 4) % 32) as usize] += 1;
-                }
-                let degree = per_bank.iter().copied().max().unwrap_or(0).max(1);
+                // Shared atomics additionally serialize on bank conflicts.
                 serialized = serialized.max(degree as f64);
             }
             self.tally.atomic_cycles += serialized * per_op;

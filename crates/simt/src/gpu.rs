@@ -136,10 +136,10 @@ impl Gpu {
         let mut tally = KernelTally::default();
         let cycle_ns = self.cfg.cycle_ns();
 
+        let mut ctx = BlockCtx::new(&self.cfg, &mut tex);
         for b in 0..blocks {
-            let mut ctx = BlockCtx::new(&self.cfg, &mut tex);
             body(b, &mut ctx);
-            let t = ctx.into_tally();
+            let t = ctx.take_tally();
             let mut cycles = t.work_cycles();
             if schedule == Schedule::Dynamic {
                 cycles += DYNAMIC_DISPATCH_CYCLES;

@@ -10,8 +10,9 @@
 //!   the uniform / reverse / almost-sorted / normal / exponential
 //!   workload generators (120 training, 600 test instances — paper
 //!   counts).
-//! * [`variants`] — real sorting implementations with simulated costs and
-//!   [`variants::build_code_variant`].
+//! * [`variants`] — the three variants, which share one keys-only radix
+//!   sort for their (real, tested) output and each charge their own
+//!   simulated cost, and [`variants::build_code_variant`].
 
 #![warn(missing_docs)]
 

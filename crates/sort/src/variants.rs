@@ -11,9 +11,13 @@
 //!   nearly-sorted inputs move almost no data — "for almost sorted
 //!   sequences, Locality Sort performs best" (§V-A).
 //!
-//! All three really sort (tests verify the output); the data movement
-//! each one charges to the simulated GPU is measured from the actual
-//! execution.
+//! All three really sort (tests verify the output), through one shared
+//! keys-only LSD radix sort over the order-preserving key bits
+//! ([`sort_keys`]). What each variant charges to the simulated GPU is
+//! its own: Radix pays its passes, and the merge family pays the data
+//! movement its tile blocksort and pairwise merges would do, which
+//! [`MergeCounts::of`] derives from the input without merging (per-block
+//! minima and maxima and linear counts give each merge-path window).
 
 use nitro_core::{CodeVariant, Context, FnFeature, FnVariant, Predicate};
 use nitro_simt::{DeviceConfig, Gpu, Schedule};
@@ -21,7 +25,7 @@ use nitro_simt::{DeviceConfig, Gpu, Schedule};
 use crate::keys::{Keys, SortInput};
 
 /// Tile size for blocksort (one thread block's share).
-const TILE: usize = 512;
+pub const TILE: usize = 512;
 
 /// Variant names in registration order.
 pub const VARIANT_NAMES: [&str; 3] = ["Merge", "Locality", "Radix"];
@@ -39,37 +43,30 @@ pub enum Method {
 
 /// Run one variant; returns the sorted keys and simulated nanoseconds.
 pub fn run_variant(method: Method, input: &SortInput, cfg: &DeviceConfig) -> (Keys, f64) {
-    let gpu = Gpu::with_seed(cfg.clone(), input.gpu_seed ^ method as u64);
-    match (&input.keys, method) {
-        (Keys::F32(v), m) => {
-            let (sorted, ns) = sort_typed(v, 4, m, &gpu);
-            (Keys::F32(sorted), ns)
+    let ns = match method {
+        Method::Radix => radix_ns(input, cfg),
+        Method::Merge | Method::Locality => {
+            let counts = MergeCounts::of(&input.keys, method == Method::Locality);
+            merge_family_ns(method, &counts, input, cfg)
         }
-        (Keys::F64(v), m) => {
-            let (sorted, ns) = sort_typed(v, 8, m, &gpu);
-            (Keys::F64(sorted), ns)
-        }
-    }
+    };
+    (sort_keys(&input.keys), ns)
 }
 
-/// Shared typed driver.
-fn sort_typed<T>(keys: &[T], key_bytes: u64, method: Method, gpu: &Gpu) -> (Vec<T>, f64)
-where
-    T: Copy + PartialOrd + RadixKey,
-{
-    match method {
-        Method::Merge => merge_sort(keys, key_bytes, gpu, false),
-        Method::Locality => merge_sort(keys, key_bytes, gpu, true),
-        Method::Radix => radix_sort(keys, key_bytes, gpu),
-    }
+/// The device a variant's launch runs on, seeded per input and method.
+fn gpu_for(method: Method, input: &SortInput, cfg: &DeviceConfig) -> Gpu {
+    Gpu::with_seed(cfg.clone(), input.gpu_seed ^ method as u64)
 }
 
 /// Keys that can be converted to an order-preserving unsigned integer.
 pub trait RadixKey {
-    /// Order-preserving bit representation.
+    /// Order-preserving bit representation: `a < b` implies
+    /// `a.to_bits_ordered() < b.to_bits_ordered()`, and `-0.0` orders
+    /// before `+0.0`.
     fn to_bits_ordered(self) -> u64;
-    /// Bits that participate in radix passes.
-    fn radix_bits() -> u32;
+    /// Inverse of [`RadixKey::to_bits_ordered`], exact on every bit
+    /// pattern (NaN payloads included).
+    fn from_bits_ordered(bits: u64) -> Self;
 }
 
 impl RadixKey for f32 {
@@ -82,8 +79,13 @@ impl RadixKey for f32 {
         };
         flipped as u64
     }
-    fn radix_bits() -> u32 {
-        32
+    fn from_bits_ordered(bits: u64) -> Self {
+        let b = bits as u32;
+        f32::from_bits(if b & 0x8000_0000 != 0 {
+            b ^ 0x8000_0000
+        } else {
+            !b
+        })
     }
 }
 
@@ -96,43 +98,86 @@ impl RadixKey for f64 {
             b ^ 0x8000_0000_0000_0000
         }
     }
-    fn radix_bits() -> u32 {
-        64
+    fn from_bits_ordered(bits: u64) -> Self {
+        f64::from_bits(if bits & 0x8000_0000_0000_0000 != 0 {
+            bits ^ 0x8000_0000_0000_0000
+        } else {
+            !bits
+        })
     }
 }
 
-/// LSD radix sort with 8-bit digits over the order-preserving bits.
-fn radix_sort<T: Copy + RadixKey>(keys: &[T], key_bytes: u64, gpu: &Gpu) -> (Vec<T>, f64) {
-    let n = keys.len();
-    let passes = (T::radix_bits() / 8) as usize;
-    // Functional LSD radix on (bits, original index) pairs.
-    let mut items: Vec<(u64, u32)> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k.to_bits_ordered(), i as u32))
-        .collect();
-    let mut buffer = vec![(0u64, 0u32); n];
-    for p in 0..passes {
-        let shift = 8 * p;
-        let mut counts = [0usize; 257];
-        for &(bits, _) in items.iter() {
-            counts[((bits >> shift) & 0xFF) as usize + 1] += 1;
+/// Sort keys by their order-preserving bits: the functional result of
+/// all three variants (each charges its own simulated cost).
+pub fn sort_keys(keys: &Keys) -> Keys {
+    match keys {
+        Keys::F32(v) => {
+            let bits = v.iter().map(|&k| k.to_bits_ordered() as u32).collect();
+            let sorted = lsd_sort(bits).into_iter();
+            Keys::F32(sorted.map(|b| f32::from_bits_ordered(b as u64)).collect())
         }
-        for d in 0..256 {
-            counts[d + 1] += counts[d];
+        Keys::F64(v) => {
+            let bits = v.iter().map(|&k| k.to_bits_ordered()).collect();
+            Keys::F64(
+                lsd_sort(bits)
+                    .into_iter()
+                    .map(f64::from_bits_ordered)
+                    .collect(),
+            )
         }
-        for &(bits, idx) in items.iter() {
-            let d = ((bits >> shift) & 0xFF) as usize;
-            buffer[counts[d]] = (bits, idx);
-            counts[d] += 1;
-        }
-        std::mem::swap(&mut items, &mut buffer);
     }
-    let sorted: Vec<T> = items.iter().map(|&(_, i)| keys[i as usize]).collect();
+}
 
-    // Cost: each pass streams the keys in and scatters them out (poorly
-    // coalesced), plus digit histogram/scan work.
+/// LSD radix sort with 8-bit digits. Input already in ascending or
+/// descending order needs no passes. Otherwise one counting pass builds
+/// every digit's histogram; a digit all keys share is already in order
+/// and its scatter pass is skipped.
+fn lsd_sort<B: Copy + Default + Ord + Into<u64>>(mut keys: Vec<B>) -> Vec<B> {
+    if keys.windows(2).all(|w| w[0] <= w[1]) {
+        return keys;
+    }
+    if keys.windows(2).all(|w| w[0] >= w[1]) {
+        keys.reverse();
+        return keys;
+    }
+    let digit = |k: B, d: usize| ((k.into() >> (8 * d)) & 0xFF) as usize;
+    let n = keys.len();
+    let mut counts = vec![[0usize; 256]; std::mem::size_of::<B>()];
+    for &k in &keys {
+        for (d, c) in counts.iter_mut().enumerate() {
+            c[digit(k, d)] += 1;
+        }
+    }
+    let mut buffer = vec![B::default(); n];
+    for (d, c) in counts.iter_mut().enumerate() {
+        if c.contains(&n) {
+            continue;
+        }
+        let mut offset = 0;
+        for x in c.iter_mut() {
+            let count = *x;
+            *x = offset;
+            offset += count;
+        }
+        for &k in &keys {
+            let slot = &mut c[digit(k, d)];
+            buffer[*slot] = k;
+            *slot += 1;
+        }
+        std::mem::swap(&mut keys, &mut buffer);
+    }
+    keys
+}
+
+/// Simulated cost of the radix sort: each of the `bits / 8` passes
+/// streams the keys in and scatters them out (poorly coalesced), plus
+/// digit histogram/scan work.
+fn radix_ns(input: &SortInput, cfg: &DeviceConfig) -> f64 {
+    let n = input.keys.len();
+    let key_bytes = input.keys.key_bytes() as f64;
+    let passes = input.keys.bits() / 8;
     let blocks = n.div_ceil(TILE).max(1);
+    let gpu = gpu_for(Method::Radix, input, cfg);
     let stats = gpu.launch("radix_sort", blocks, Schedule::EvenShare, |b, ctx| {
         let s0 = b * TILE;
         let s1 = (s0 + TILE).min(n);
@@ -142,124 +187,147 @@ fn radix_sort<T: Copy + RadixKey>(keys: &[T], key_bytes: u64, gpu: &Gpu) -> (Vec
         let tile = (s1 - s0) as f64;
         for _ in 0..passes {
             // Histogram read + rank read, then a poorly coalesced scatter.
-            ctx.bulk_read(tile * key_bytes as f64 * 2.0, 1.0);
-            ctx.bulk_write(tile * key_bytes as f64, 0.25);
+            ctx.bulk_read(tile * key_bytes * 2.0, 1.0);
+            ctx.bulk_write(tile * key_bytes, 0.25);
             ctx.bulk_ops(tile, 1.0);
         }
     });
-    (sorted, stats.elapsed_ns)
+    stats.elapsed_ns
 }
 
-/// Tile blocksort + merge passes. With `locality`, tile-pair boundaries
-/// that are already ordered skip their merge, and real merges only charge
-/// the overlapping window.
-fn merge_sort<T: Copy + PartialOrd>(
-    keys: &[T],
-    key_bytes: u64,
-    gpu: &Gpu,
-    locality: bool,
-) -> (Vec<T>, f64) {
-    let n = keys.len();
-    let mut data: Vec<T> = keys.to_vec();
+/// The data movement a merge-family sort charges: a tile blocksort
+/// followed by pairwise merge passes of doubling width.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MergeCounts {
+    /// Tiles the blocksort skips because they are already in order
+    /// (Locality only; an empty input is one presorted empty tile).
+    pub presorted_tiles: usize,
+    /// Merge-pass boundary probes: one per pair of adjacent blocks.
+    pub checks: u64,
+    /// Elements the merges read and write.
+    pub moved: u64,
+}
 
-    // --- Blocksort: sort each tile; locality sort skips pre-sorted tiles.
-    let mut presorted_tiles = 0usize;
-    let n_tiles = n.div_ceil(TILE).max(1);
-    for t in 0..n_tiles {
-        let s0 = t * TILE;
-        let s1 = (s0 + TILE).min(n);
-        let tile = &mut data[s0..s1];
-        if locality && tile.windows(2).all(|w| w[0] <= w[1]) {
-            presorted_tiles += 1;
-            continue;
+impl MergeCounts {
+    /// Count the movement of a Merge (`locality = false`) or Locality
+    /// sort of `keys`.
+    ///
+    /// The counts come straight from the input, without merging: after
+    /// the passes of width `w`, the block starting at `s0` holds the
+    /// sorted multiset of the input's `s0..s0 + w`. So a block's last
+    /// and first elements are that range's maximum and minimum, and the
+    /// merge-path window of a pair — left elements above the right
+    /// block's minimum plus right elements below the left block's
+    /// maximum — is two linear counts over the unsorted input ranges.
+    /// Locality skips a pair whose left maximum is `<=` its right
+    /// minimum; Merge moves every pair in full. Equal to what pairwise
+    /// merges measure for every NaN-free input.
+    pub fn of(keys: &Keys, locality: bool) -> Self {
+        match keys {
+            Keys::F32(v) => merge_counts(v, locality),
+            Keys::F64(v) => merge_counts(v, locality),
         }
-        tile.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     }
+}
 
-    // --- Merge passes, measuring movement.
-    let mut width = TILE;
-    let mut buffer: Vec<T> = Vec::with_capacity(n);
-    let mut moved = 0u64; // elements actually shuffled by merges
-    let mut checks = 0u64; // boundary probes
-    let mut passes = 0u64;
-    while width < n {
-        passes += 1;
-        let mut s0 = 0;
-        while s0 < n {
-            let mid = (s0 + width).min(n);
-            let s1 = (s0 + 2 * width).min(n);
-            if mid < s1 {
-                checks += 1;
-                let trivially_ordered = data[mid - 1] <= data[mid];
-                if !(locality && trivially_ordered) {
-                    // Overlap window: the only region a merge-path
-                    // windowed merge has to touch.
-                    let window = if locality {
-                        let right_first = data[mid];
-                        let left_last = data[mid - 1];
-                        let lcut = data[s0..mid].partition_point(|v| *v <= right_first);
-                        let rcut = data[mid..s1].partition_point(|v| *v < left_last);
-                        ((mid - s0 - lcut) + rcut) as u64
-                    } else {
-                        (s1 - s0) as u64
-                    };
-                    moved += window;
-                    // Functional merge (full, for simplicity — cost uses
-                    // the window).
-                    buffer.clear();
-                    let (mut i, mut j) = (s0, mid);
-                    while i < mid && j < s1 {
-                        if data[i] <= data[j] {
-                            buffer.push(data[i]);
-                            i += 1;
-                        } else {
-                            buffer.push(data[j]);
-                            j += 1;
-                        }
-                    }
-                    buffer.extend_from_slice(&data[i..mid]);
-                    buffer.extend_from_slice(&data[j..s1]);
-                    data[s0..s1].copy_from_slice(&buffer);
+fn merge_counts<T: Copy + PartialOrd>(keys: &[T], locality: bool) -> MergeCounts {
+    let n = keys.len();
+    let mut counts = MergeCounts::default();
+    // Per-block (min, max), starting from the tiles.
+    let mut extremes: Vec<(T, T)> = Vec::new();
+    if locality {
+        for tile in keys.chunks(TILE) {
+            let mut lo = tile[0];
+            let mut hi = tile[0];
+            let mut sorted = true;
+            for w in tile.windows(2) {
+                sorted &= w[0] <= w[1];
+                if w[1] < lo {
+                    lo = w[1];
+                }
+                if w[1] > hi {
+                    hi = w[1];
                 }
             }
-            s0 = s1;
+            counts.presorted_tiles += sorted as usize;
+            extremes.push((lo, hi));
+        }
+        if n == 0 {
+            counts.presorted_tiles = 1;
+        }
+    }
+    let mut width = TILE;
+    while width < n {
+        for (k, s0) in (0..n).step_by(2 * width).enumerate() {
+            let mid = (s0 + width).min(n);
+            let s1 = (s0 + 2 * width).min(n);
+            if mid >= s1 {
+                if locality {
+                    extremes[k] = extremes[2 * k];
+                }
+                continue;
+            }
+            counts.checks += 1;
+            if !locality {
+                counts.moved += (s1 - s0) as u64;
+                continue;
+            }
+            let ((l_lo, l_hi), (r_lo, r_hi)) = (extremes[2 * k], extremes[2 * k + 1]);
+            let trivially_ordered = l_hi <= r_lo;
+            if !trivially_ordered {
+                let lcut = keys[s0..mid].iter().filter(|&&v| v <= r_lo).count();
+                let rcut = keys[mid..s1].iter().filter(|&&v| v < l_hi).count();
+                counts.moved += ((mid - s0 - lcut) + rcut) as u64;
+            }
+            let lo = if r_lo < l_lo { r_lo } else { l_lo };
+            let hi = if r_hi > l_hi { r_hi } else { l_hi };
+            extremes[k] = (lo, hi);
+        }
+        if locality {
+            extremes.truncate(n.div_ceil(2 * width));
         }
         width *= 2;
     }
+    counts
+}
 
-    // --- Cost accounting.
+/// Simulated cost of a Merge or Locality sort with the given movement:
+/// blocksort traffic for every tile not presorted, then merge traffic
+/// for every moved element, spread evenly over the blocks.
+pub fn merge_family_ns(
+    method: Method,
+    counts: &MergeCounts,
+    input: &SortInput,
+    cfg: &DeviceConfig,
+) -> f64 {
+    let n = input.keys.len();
+    let key_bytes = input.keys.key_bytes() as f64;
     let blocks = n.div_ceil(TILE).max(1);
-    let sorted_tiles = n_tiles - presorted_tiles;
-    let stats = gpu.launch(
-        if locality {
-            "locality_sort"
-        } else {
-            "merge_sort"
-        },
-        blocks,
-        Schedule::EvenShare,
-        |b, ctx| {
-            // Spread the measured totals evenly over blocks.
-            let share = |x: u64| x as f64 / blocks as f64;
-            if b == 0 {
-                // Per-pass boundary probing (tiny).
-                ctx.bulk_ops(checks as f64 * 2.0, 1.0);
-            }
-            // Blocksort traffic: read + write each non-presorted tile.
-            let tile_elems = share(sorted_tiles as u64 * TILE as u64);
-            ctx.bulk_read(tile_elems * key_bytes as f64, 1.0);
-            ctx.bulk_write(tile_elems * key_bytes as f64, 1.0);
-            ctx.bulk_ops(tile_elems * 9.0, 1.0); // ~log2(TILE) compares
-                                                 // Merge traffic: read + write every moved element, plus the
-                                                 // stream of merge-path probes.
-            let merged = share(moved);
-            ctx.bulk_read(merged * key_bytes as f64, 0.9);
-            ctx.bulk_write(merged * key_bytes as f64, 0.9);
-            ctx.bulk_ops(merged * 2.0, 1.0);
-            let _ = passes;
-        },
-    );
-    (data, stats.elapsed_ns)
+    let sorted_tiles = blocks - counts.presorted_tiles;
+    let gpu = gpu_for(method, input, cfg);
+    let kernel = match method {
+        Method::Locality => "locality_sort",
+        _ => "merge_sort",
+    };
+    let stats = gpu.launch(kernel, blocks, Schedule::EvenShare, |b, ctx| {
+        let share = |x: u64| x as f64 / blocks as f64;
+        if b == 0 {
+            // Per-pass boundary probing (tiny).
+            ctx.bulk_ops(counts.checks as f64 * 2.0, 1.0);
+        }
+        // Blocksort traffic: read + write each non-presorted tile.
+        let tile_elems = share(sorted_tiles as u64 * TILE as u64);
+        ctx.bulk_read(tile_elems * key_bytes, 1.0);
+        ctx.bulk_write(tile_elems * key_bytes, 1.0);
+        ctx.bulk_ops(tile_elems * 9.0, 1.0); // ~log2(TILE) compares
+                                             // Merge traffic: read + write every moved element, plus the
+                                             // stream of merge-path probes.
+        let merged = share(counts.moved);
+        ctx.bulk_read(merged * key_bytes, 0.9);
+        ctx.bulk_write(merged * key_bytes, 0.9);
+        ctx.bulk_ops(merged * 2.0, 1.0);
+    });
+    stats.elapsed_ns
 }
 
 /// Assemble the Sort `code_variant`: 3 variants, 3 features (`N`,
@@ -350,6 +418,19 @@ mod tests {
         } else {
             panic!("wrong key type");
         }
+    }
+
+    #[test]
+    fn radix_sort_moves_a_lone_differing_digit() {
+        // All keys but one share every digit, and the outlier sits mid-way
+        // (neither ascending nor descending): each of its digit passes
+        // must still run.
+        let mut wide = vec![1.0f64; 101];
+        wide[50] = f64::from_bits(1.0f64.to_bits() + 1);
+        assert_sorted(&sort_keys(&Keys::F64(wide)));
+        let mut narrow = vec![1.0f32; 101];
+        narrow[50] = f32::from_bits(1.0f32.to_bits() + 1);
+        assert_sorted(&sort_keys(&Keys::F32(narrow)));
     }
 
     #[test]
