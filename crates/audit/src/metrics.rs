@@ -173,8 +173,7 @@ mod tests {
     fn snapshot(counters: &[(&str, u64)]) -> MetricsSnapshot {
         let m = MetricsRegistry::new();
         for (name, v) in counters {
-            m.declare_counter(name);
-            m.add(name, *v);
+            m.counter(name).add(*v);
         }
         m.snapshot()
     }

@@ -18,11 +18,12 @@
 //!   match exactly.
 //! * **Phase B — concurrent storm.** A wall-clock front with real simt
 //!   kernel launches runs the campaign concurrently: seeded launch
-//!   faults ([`FaultPlan`]), zipf tenants, grenade and poison requests,
+//!   faults ([`FaultPlan`](nitro_simt::FaultPlan)), zipf tenants, grenade
+//!   and poison requests,
 //!   skew jumps through [`ServeClock::skewed`], alert storms with
 //!   relaxes, and mid-campaign model publishes through an
 //!   [`ArtifactStore`] whose filesystem runs under the plan's
-//!   [`ChaosFs`] — only checksum-verified artifacts
+//!   [`ChaosFs`](nitro_core::fsio::ChaosFs) — only checksum-verified artifacts
 //!   (`load_latest_intact`) are ever handed to the front.
 //!
 //! Writes `target/BENCH_chaos.json` (plus plans and per-run outcome
@@ -47,7 +48,7 @@ use nitro_core::{
 };
 use nitro_guard::{ChaosPlan, GuardPolicy};
 use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
-use nitro_pulse::{AlertKind, AlertSeverity, PulseAlert, PulseRegistry};
+use nitro_pulse::{AlertKind, AlertSeverity, PulseAlert};
 use nitro_serve::{
     Rejection, ServeClock, ServeConfig, ServeFront, ServeOutcome, ShardState, SupervisorConfig,
 };
@@ -56,7 +57,7 @@ use nitro_simt::{
     INJECTED_PANIC_PREFIX,
 };
 use nitro_store::ArtifactStore;
-use nitro_trace::{RingSink, Tracer};
+use nitro_trace::{MetricsRegistry, RingSink, Tracer};
 use serde::Serialize;
 
 /// Deadline budget on every request — generous, so chaos is absorbed by
@@ -250,7 +251,7 @@ fn lockstep_run(plan: &ChaosPlan) -> BenchResult<LockstepRun> {
         tenant_rate_per_s: 1_000_000.0,
         tenant_burst: 10_000,
         hopeless_shedding: false,
-        supervision: Some(SupervisorConfig::default()),
+        supervision: SupervisorConfig::default(),
         ..ServeConfig::default()
     };
     let front = ServeFront::start(config, GuardPolicy::default(), clock.clone(), None, |_| {
@@ -425,7 +426,7 @@ fn storm_run(plan: &ChaosPlan) -> BenchResult<PhaseBOutcome> {
     nitro_trace::install_global(tracer.clone());
     install_fault_plan(plan.fault_plan());
     let (clock, skew) = ServeClock::skewed();
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let config = ServeConfig {
         shards: 4,
         queue_capacity: Some(32),
@@ -433,7 +434,7 @@ fn storm_run(plan: &ChaosPlan) -> BenchResult<PhaseBOutcome> {
         tenant_rate_per_s: 100_000.0,
         tenant_burst: 4_096,
         hopeless_shedding: false,
-        supervision: Some(SupervisorConfig::default()),
+        supervision: SupervisorConfig::default(),
         ..ServeConfig::default()
     };
     let front = ServeFront::start(

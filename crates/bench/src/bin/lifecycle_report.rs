@@ -46,9 +46,10 @@ use nitro_bench::error::{exit_on_error, to_json_pretty, write_file, BenchResult}
 use nitro_bench::{device, SuiteSpec};
 use nitro_core::{CodeVariant, Context, ModelArtifact, MODEL_SCHEMA_VERSION};
 use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
-use nitro_pulse::{AlertKind, AlertSeverity, FunctionPulse, PulseRegistry, SloSpec, SloWatchdog};
+use nitro_pulse::{AlertKind, AlertSeverity, FunctionPulse, SloSpec, SloWatchdog};
 use nitro_simt::{install_fault_plan, uninstall_fault_plan, FaultPlan};
 use nitro_store::{ArtifactStore, LifecycleEvent, PromotionPolicy, StagedPromotion, TuningJournal};
+use nitro_trace::MetricsRegistry;
 use nitro_tuner::Autotuner;
 use serde::Serialize;
 
@@ -316,7 +317,7 @@ where
     // promote a candidate into probation, then inject a FaultPlan
     // slowdown. The resulting latency page must be consumed by
     // `ingest_alert` and roll the promotion back.
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     FunctionPulse::install(&mut resumed, &registry, None);
     let metric = format!("dispatch.{}.latency_ns", resumed.name());
     let dispatch_pass = |cv: &mut CodeVariant<I>| -> BenchResult<()> {

@@ -10,10 +10,11 @@
 //!
 //! 1. **record throughput** — one counter increment plus one sketch
 //!    record per event, measured single-threaded and at 8 recording
-//!    threads on the striped [`PulseRegistry`] and on the old
-//!    mutex-guarded [`MetricsRegistry`] used exactly as the traced
-//!    dispatch path uses it (per-event name `format!` + a lookup under
-//!    the registry lock) as the baseline. The striped 8-thread aggregate must beat
+//!    threads on the striped [`MetricsRegistry`] and on a baseline: a
+//!    copy of the mutex-guarded registry the traced dispatch and guard
+//!    paths once recorded into (per-event name `format!` + a lookup
+//!    under one registry-wide lock, decade-bucket histograms), kept
+//!    here as [`MutexRegistry`]. The striped 8-thread aggregate must beat
 //!    the mutex 8-thread aggregate by ≥ 4×; on machines with ≥ 8
 //!    hardware threads the striped path must additionally scale ≥ 4×
 //!    over its own single-threaded run.
@@ -36,19 +37,18 @@
 //! guarantee is violated.
 
 use std::path::PathBuf;
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 use nitro_bench::error::{exit_on_error, to_json_pretty, write_file, BenchResult};
 use nitro_bench::{device, SuiteSpec};
 use nitro_core::{CodeVariant, Context, ModelArtifact};
 use nitro_pulse::{
-    AlertKind, AlertSeverity, FunctionPulse, PulseAlert, PulseProfiler, PulseRegistry,
-    QuantileSketch, SketchConfig, SloSpec, SloWatchdog,
+    AlertKind, AlertSeverity, FunctionPulse, PulseAlert, PulseProfiler, SloSpec, SloWatchdog,
 };
 use nitro_simt::{install_fault_plan, uninstall_fault_plan, FaultPlan};
 use nitro_store::{LifecycleEvent, PromotionPolicy, StagedPromotion};
-use nitro_trace::MetricsRegistry;
+use nitro_trace::{MetricsRegistry, QuantileSketch, SketchConfig};
 use nitro_tuner::Autotuner;
 use serde::Serialize;
 
@@ -116,7 +116,7 @@ fn best_pair(
 /// Striped path: handles are resolved once per thread (the intended
 /// usage — register on the cold path, record lock-free on the hot one).
 fn striped_run(threads: usize, ops_per_thread: u64) -> RecordRun {
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let barrier = Barrier::new(threads + 1);
     let elapsed_ns = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -148,13 +148,79 @@ fn striped_run(threads: usize, ops_per_thread: u64) -> RecordRun {
     finish_run(threads, threads as u64 * ops_per_thread, elapsed_ns)
 }
 
-/// Mutex baseline: the old traced-metrics path exactly as the dispatch
-/// and guard layers use it (`m.inc(&format!("dispatch.{name}.calls"))`
-/// — see `CodeVariant::dispatch` and `GuardedVariant::call`): every
-/// event formats its metric name, then looks it up in a map under one
+/// The baseline registry: named counters and decade-bucket histograms
+/// behind one lock, each lookup a linear scan by name — the store the
+/// traced dispatch and guard paths recorded into before the striped
+/// registry replaced it.
+#[derive(Default)]
+struct MutexRegistry {
+    inner: Mutex<MutexMetrics>,
+}
+
+#[derive(Default)]
+struct MutexMetrics {
+    counters: Vec<(String, u64)>,
+    histograms: Vec<(String, DecadeHistogram)>,
+}
+
+/// Decades from 100 ns to 10 s plus an overflow bucket.
+struct DecadeHistogram {
+    counts: [u64; 10],
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl MutexRegistry {
+    fn inc(&self, name: &str) {
+        let mut inner = self.inner.lock().expect("baseline registry lock");
+        match inner.counters.iter().position(|(k, _)| k == name) {
+            Some(i) => inner.counters[i].1 += 1,
+            None => inner.counters.push((name.to_string(), 1)),
+        }
+    }
+
+    fn observe(&self, name: &str, v: f64) {
+        const BOUNDS: [f64; 9] = [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
+        let mut inner = self.inner.lock().expect("baseline registry lock");
+        let i = match inner.histograms.iter().position(|(k, _)| k == name) {
+            Some(i) => i,
+            None => {
+                let empty = DecadeHistogram {
+                    counts: [0; 10],
+                    count: 0,
+                    sum: 0.0,
+                    min: f64::INFINITY,
+                    max: f64::NEG_INFINITY,
+                };
+                inner.histograms.push((name.to_string(), empty));
+                inner.histograms.len() - 1
+            }
+        };
+        let h = &mut inner.histograms[i].1;
+        h.counts[BOUNDS.iter().position(|&b| v <= b).unwrap_or(BOUNDS.len())] += 1;
+        h.count += 1;
+        h.sum += v;
+        h.min = h.min.min(v);
+        h.max = h.max.max(v);
+    }
+
+    fn counter(&self, name: &str) -> Option<u64> {
+        let inner = self.inner.lock().expect("baseline registry lock");
+        inner
+            .counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| *v)
+    }
+}
+
+/// Mutex baseline: every event formats its metric name
+/// (`format!("dispatch.{name}.calls")`), then looks it up under one
 /// registry-wide lock.
 fn mutex_run(threads: usize, ops_per_thread: u64) -> RecordRun {
-    let metrics = MetricsRegistry::new();
+    let metrics = MutexRegistry::default();
     let barrier = Barrier::new(threads + 1);
     let function = std::hint::black_box("bench".to_string());
     let elapsed_ns = std::thread::scope(|s| {
@@ -328,13 +394,13 @@ struct SuitePulseOutcome {
 
 /// Tune a suite once, then dispatch its test set from several threads —
 /// each with its own `CodeVariant` rebuilt from the shared exported
-/// artifact — into one shared pulse registry and profiler.
+/// artifact — into one shared metrics registry and profiler.
 fn suite_pulse<I, F>(
     name: &str,
     build: F,
     train: &[I],
     test: &[I],
-    registry: &PulseRegistry,
+    registry: &MetricsRegistry,
     failures: &mut Vec<String>,
 ) -> BenchResult<(SuitePulseOutcome, ModelArtifact)>
 where
@@ -459,7 +525,7 @@ where
     I: Send + Sync,
     F: Fn(&Context) -> CodeVariant<I>,
 {
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let ctx = Context::new();
     let mut cv = build(&ctx);
     cv.install_artifact(artifact.clone())?;
@@ -619,7 +685,7 @@ fn run() -> BenchResult<()> {
     // One shared registry across every suite: per-function metric names
     // keep the streams separate, and the snapshot at the end is what a
     // production process would export.
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let mut suites = Vec::new();
 
     let spmv_artifact = {

@@ -34,12 +34,12 @@ use nitro_core::{
 };
 use nitro_guard::GuardPolicy;
 use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
-use nitro_pulse::PulseRegistry;
 use nitro_serve::{ServeClock, ServeConfig, ServeFront, ServeOutcome};
 use nitro_simt::{
     install_fault_plan, silence_injected_panics, uninstall_fault_plan, FaultPlan, Gpu, Schedule,
 };
 use nitro_store::{PromotionPolicy, StagedPromotion};
+use nitro_trace::MetricsRegistry;
 use serde::Serialize;
 
 /// Launch failure probability of the fault plan running underneath.
@@ -203,7 +203,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn counter(registry: &PulseRegistry, name: &str) -> u64 {
+fn counter(registry: &MetricsRegistry, name: &str) -> u64 {
     registry.counter_value(name).unwrap_or(0)
 }
 
@@ -217,7 +217,7 @@ struct Counters {
     violations: u64,
 }
 
-fn counters(registry: &PulseRegistry) -> Counters {
+fn counters(registry: &MetricsRegistry) -> Counters {
     let f = "serve.serve_bench";
     Counters {
         admitted: counter(registry, &format!("{f}.admitted")),
@@ -242,7 +242,7 @@ struct PhaseOutcome {
 fn run_phase(
     front: &ServeFront<ServeInput>,
     clock: &ServeClock,
-    registry: &PulseRegistry,
+    registry: &MetricsRegistry,
     phase: LoadPhase,
     tenants: &mut ZipfSampler,
     inputs: &mut ZipfSampler,
@@ -347,7 +347,7 @@ fn run() -> BenchResult<()> {
     silence_injected_panics();
     install_fault_plan(FaultPlan::with_failure_prob(spec.seed, LAUNCH_FAILURE_PROB));
 
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let clock = ServeClock::wall();
     let config = ServeConfig {
         queue_capacity: Some(32),

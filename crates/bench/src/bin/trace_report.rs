@@ -119,7 +119,8 @@ fn trace_suite<I: Send + Sync>(
             if regret.is_finite() && regret >= 0.0 {
                 tracer
                     .metrics()
-                    .observe(&format!("regret.{name}.ns"), regret);
+                    .sketch(&format!("regret.{name}.ns"))
+                    .record(regret);
             }
         }
     }

@@ -1,7 +1,8 @@
 use nitro_bench::SuiteSpec;
 use nitro_core::Context;
-use nitro_pulse::{FunctionPulse, PulseRegistry};
+use nitro_pulse::FunctionPulse;
 use nitro_simt::{install_fault_plan, uninstall_fault_plan, FaultPlan};
+use nitro_trace::MetricsRegistry;
 use nitro_tuner::Autotuner;
 
 #[test]
@@ -19,7 +20,7 @@ fn fault_inflation_probe() {
             let mut cv = $build(&ctx);
             Autotuner::new().tune(&mut cv, &train).unwrap();
             for factor in [8.0f64, 64.0] {
-                let registry = PulseRegistry::new();
+                let registry = MetricsRegistry::new();
                 FunctionPulse::install(&mut cv, &registry, None);
                 let metric = format!("dispatch.{}.latency_ns", cv.name());
                 for input in &test {
@@ -27,7 +28,7 @@ fn fault_inflation_probe() {
                 }
                 let healthy = registry.quantile(&metric, 0.99).unwrap();
                 let healthy_p50 = registry.quantile(&metric, 0.5).unwrap();
-                let registry = PulseRegistry::new();
+                let registry = MetricsRegistry::new();
                 FunctionPulse::install(&mut cv, &registry, None);
                 install_fault_plan(FaultPlan {
                     seed: 11,

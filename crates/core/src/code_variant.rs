@@ -614,12 +614,12 @@ impl<I: ?Sized> CodeVariant<I> {
     /// metrics analyzer keys on.
     pub fn declare_tracer_metrics(&self, tracer: &nitro_trace::Tracer) {
         let m = tracer.metrics();
-        m.declare_counter(&format!("dispatch.{}.calls", self.name));
-        m.declare_counter(&format!("dispatch.{}.fallback", self.name));
-        m.declare_counter("ml.predict.kernel_evals");
+        m.counter(&format!("dispatch.{}.calls", self.name));
+        m.counter(&format!("dispatch.{}.fallback", self.name));
+        m.counter("ml.predict.kernel_evals");
         for v in &self.variants {
-            m.declare_counter(&format!("dispatch.{}.win.{}", self.name, v.name()));
-            m.declare_counter(&format!("dispatch.{}.veto.{}", self.name, v.name()));
+            m.counter(&format!("dispatch.{}.win.{}", self.name, v.name()));
+            m.counter(&format!("dispatch.{}.veto.{}", self.name, v.name()));
         }
     }
 
@@ -735,29 +735,30 @@ impl<I: ?Sized> CodeVariant<I> {
 
         if let Some(t) = &tracer {
             let m = t.metrics();
-            m.inc(&format!("dispatch.{}.calls", self.name));
-            m.inc(&format!(
+            m.counter(&format!("dispatch.{}.calls", self.name)).inc();
+            m.counter(&format!(
                 "dispatch.{}.win.{}",
                 self.name,
                 self.variants[chosen].name()
-            ));
+            ))
+            .inc();
             if fell_back {
-                m.inc(&format!("dispatch.{}.fallback", self.name));
-                m.inc(&format!(
+                m.counter(&format!("dispatch.{}.fallback", self.name)).inc();
+                m.counter(&format!(
                     "dispatch.{}.veto.{}",
                     self.name,
                     self.variants[intended].name()
-                ));
+                ))
+                .inc();
             }
-            m.observe(
-                &format!("dispatch.{}.feature_ns", self.name),
-                feature_cost_ns,
-            );
+            m.sketch(&format!("dispatch.{}.feature_ns", self.name))
+                .record(feature_cost_ns);
             if let Some(ns) = predict_ns {
-                m.observe(&format!("dispatch.{}.predict_ns", self.name), ns as f64);
+                m.sketch(&format!("dispatch.{}.predict_ns", self.name))
+                    .record(ns as f64);
             }
             if kernel_evals > 0 {
-                m.add("ml.predict.kernel_evals", kernel_evals);
+                m.counter("ml.predict.kernel_evals").add(kernel_evals);
             }
             if let Some(s) = span.as_mut() {
                 s.end_arg("predicted", nitro_trace::val(&predicted));
@@ -1069,11 +1070,11 @@ mod tests {
         assert_eq!(vetoed.1, nitro_trace::Value::Bool(true));
 
         let m = tracer.metrics();
-        assert_eq!(m.counter("dispatch.toy.calls"), Some(2));
-        assert_eq!(m.counter("dispatch.toy.win.small"), Some(2));
-        assert_eq!(m.counter("dispatch.toy.win.large"), Some(0));
-        assert_eq!(m.counter("dispatch.toy.veto.large"), Some(1));
-        assert_eq!(m.counter("dispatch.toy.fallback"), Some(1));
+        assert_eq!(m.counter_value("dispatch.toy.calls"), Some(2));
+        assert_eq!(m.counter_value("dispatch.toy.win.small"), Some(2));
+        assert_eq!(m.counter_value("dispatch.toy.win.large"), Some(0));
+        assert_eq!(m.counter_value("dispatch.toy.veto.large"), Some(1));
+        assert_eq!(m.counter_value("dispatch.toy.fallback"), Some(1));
 
         // Dispatch behavior itself is unchanged by tracing.
         assert_eq!(cv.stats().calls, 2);
@@ -1102,7 +1103,10 @@ mod tests {
 
         cv.call(&1.0).unwrap();
         cv.call(&9.0).unwrap();
-        let evals = tracer.metrics().counter("ml.predict.kernel_evals").unwrap();
+        let evals = tracer
+            .metrics()
+            .counter_value("ml.predict.kernel_evals")
+            .unwrap();
         assert!(evals > 0, "SVM dispatch must report kernel work");
         // Knn dispatch reports none (counter stays declared-but-zero).
         let mut knn = toy();
@@ -1111,7 +1115,10 @@ mod tests {
         knn.declare_tracer_metrics(&t2);
         knn.context().install_tracer(t2.clone());
         knn.call(&1.0).unwrap();
-        assert_eq!(t2.metrics().counter("ml.predict.kernel_evals"), Some(0));
+        assert_eq!(
+            t2.metrics().counter_value("ml.predict.kernel_evals"),
+            Some(0)
+        );
     }
 
     #[test]

@@ -31,9 +31,9 @@ use nitro_simt::FaultPlan;
 
 use crate::breaker::GuardPolicy;
 
-/// Audit a guard policy for `function`. [`GuardedVariant::new`]
-/// (crate::GuardedVariant::new) refuses to construct on error-severity
-/// findings.
+/// Audit a guard policy for `function`.
+/// [`GuardedVariant::new`](crate::GuardedVariant::new) refuses to
+/// construct on error-severity findings.
 pub fn audit_guard_policy(function: &str, policy: &GuardPolicy) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if policy.quarantine_threshold == 0 {

@@ -11,8 +11,8 @@
 //! virtual, and call-counted cooldowns keep chaos tests deterministic.
 //!
 //! The breaker is **shard-shareable**: its state lives in one packed
-//! `AtomicU64` and every transition is a CAS loop, so [`tick`]
-//! (CircuitBreaker::tick), [`on_success`](CircuitBreaker::on_success)
+//! `AtomicU64` and every transition is a CAS loop, so
+//! [`tick`](CircuitBreaker::tick), [`on_success`](CircuitBreaker::on_success)
 //! and [`on_failure`](CircuitBreaker::on_failure) all take `&self` and
 //! are safe to call from any number of worker threads without a mutex.
 //! Under concurrent updates each transition is applied atomically

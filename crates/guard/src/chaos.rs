@@ -83,8 +83,8 @@ pub fn inject_failures<I: ?Sized + 'static>(
 /// composed from one seed.
 ///
 /// The plan is plain data (serde-serializable — a campaign *is* its
-/// JSON) and every derived schedule is a pure function of [`seed`]
-/// (ChaosPlan::seed), so the same plan driven over the same request
+/// JSON) and every derived schedule is a pure function of
+/// [`seed`](ChaosPlan::seed), so the same plan driven over the same request
 /// sequence replays the same faults:
 ///
 /// * **launch faults** — [`ChaosPlan::fault_plan`] yields the

@@ -29,10 +29,13 @@
 //! share a single `GuardShared` via [`GuardedVariant::new_sharing`], so
 //! a variant melting down on one shard is quarantined on all of them.
 //!
-//! Every recovery decision is visible to `nitro-trace`:
-//! `guard.<fn>.quarantine`, `guard.<fn>.retry`, `guard.<fn>.degraded`,
-//! plus `guard.<fn>.{calls,failure,fallback,recovered}` counters and a
-//! `guard:<fn>` instant per state transition.
+//! Every guard event is counted once, in the shared bundle's handle set:
+//! the `guard.<fn>.{calls,degraded,retry,failure,quarantine,recovered,
+//! fallback}` counters of one [`MetricsRegistry`] — the context tracer's
+//! when one is installed at construction, a private one otherwise — plus
+//! the simulated backoff total. [`GuardedVariant::stats`] reads that
+//! set. A traced guard also emits a `guard:<fn>` instant per state
+//! transition.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,6 +44,7 @@ use std::time::Instant;
 
 use nitro_audit::AuditedInstall;
 use nitro_core::{CodeVariant, ModelArtifact, NitroError, PredictScratch, Result};
+use nitro_trace::{Counter, MetricsRegistry};
 
 use crate::audit::audit_guard_policy;
 use crate::breaker::{BreakerState, CircuitBreaker, GuardPolicy, Transition};
@@ -80,10 +84,9 @@ impl HealthStatus {
     }
 }
 
-/// Cumulative guard statistics (the counter mirror of the trace metrics,
-/// available without a tracer). Snapshot of the atomics in
-/// [`GuardShared`]; when several guards share state, these aggregate
-/// across all of them.
+/// Cumulative guard statistics: a read of the `guard.<fn>.*` counters
+/// in [`GuardShared`], available with or without a tracer. When several
+/// guards share state, these aggregate across all of them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GuardStats {
     /// Guarded calls served (success or error).
@@ -177,21 +180,37 @@ impl SharedHealth {
     }
 }
 
-/// Atomic mirror of [`GuardStats`].
-#[derive(Debug, Default)]
-struct SharedStats {
-    calls: AtomicU64,
-    retries: AtomicU64,
-    failures: AtomicU64,
-    quarantines: AtomicU64,
-    recoveries: AtomicU64,
-    degraded_calls: AtomicU64,
-    fallbacks: AtomicU64,
-    /// f64 bit pattern, accumulated with a CAS loop.
+/// The guard's event handles, registered once per function. Each event
+/// is recorded here and nowhere else.
+#[derive(Debug)]
+struct GuardMetrics {
+    calls: Counter,
+    degraded: Counter,
+    retry: Counter,
+    failure: Counter,
+    quarantine: Counter,
+    recovered: Counter,
+    fallback: Counter,
+    /// Simulated backoff total: an f64 bit pattern accumulated with a
+    /// CAS loop. The registry has no float sum, so it is not exported.
     backoff_ns_bits: AtomicU64,
 }
 
-impl SharedStats {
+impl GuardMetrics {
+    fn register(registry: &MetricsRegistry, function: &str) -> Self {
+        let counter = |event: &str| registry.counter(&format!("guard.{function}.{event}"));
+        Self {
+            calls: counter("calls"),
+            degraded: counter("degraded"),
+            retry: counter("retry"),
+            failure: counter("failure"),
+            quarantine: counter("quarantine"),
+            recovered: counter("recovered"),
+            fallback: counter("fallback"),
+            backoff_ns_bits: AtomicU64::new(0f64.to_bits()),
+        }
+    }
+
     fn add_backoff(&self, ns: f64) {
         let mut current = self.backoff_ns_bits.load(Ordering::Relaxed);
         loop {
@@ -208,22 +227,22 @@ impl SharedStats {
         }
     }
 
-    fn snapshot(&self) -> GuardStats {
+    fn stats(&self) -> GuardStats {
         GuardStats {
-            calls: self.calls.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-            quarantines: self.quarantines.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            degraded_calls: self.degraded_calls.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
+            calls: self.calls.value(),
+            retries: self.retry.value(),
+            failures: self.failure.value(),
+            quarantines: self.quarantine.value(),
+            recoveries: self.recovered.value(),
+            degraded_calls: self.degraded.value(),
+            fallbacks: self.fallback.value(),
             backoff_ns: f64::from_bits(self.backoff_ns_bits.load(Ordering::Relaxed)),
         }
     }
 }
 
 /// The shard-shareable slice of a guard: breaker bank, health flag and
-/// cumulative statistics, all atomics. Create one with
+/// event counters, all atomics. Create one with
 /// [`GuardedVariant::new`] (implicitly) and hand it to sibling guards
 /// with [`GuardedVariant::new_sharing`] so every worker shard sees the
 /// same quarantine and health decisions.
@@ -231,17 +250,22 @@ impl SharedStats {
 pub struct GuardShared {
     breakers: Vec<CircuitBreaker>,
     health: SharedHealth,
-    stats: SharedStats,
+    metrics: GuardMetrics,
 }
 
 impl GuardShared {
-    fn new(policy: &GuardPolicy, n_variants: usize, health: HealthStatus) -> Self {
+    fn new(
+        policy: &GuardPolicy,
+        n_variants: usize,
+        health: HealthStatus,
+        metrics: GuardMetrics,
+    ) -> Self {
         Self {
             breakers: (0..n_variants)
                 .map(|_| CircuitBreaker::new(policy))
                 .collect(),
             health: SharedHealth::new(health),
-            stats: SharedStats::default(),
+            metrics,
         }
     }
 
@@ -261,7 +285,6 @@ pub struct GuardedVariant<I: ?Sized> {
     cv: CodeVariant<I>,
     policy: GuardPolicy,
     shared: Arc<GuardShared>,
-    pulse: Option<nitro_pulse::GuardPulse>,
     /// Per-instance jitter salt (shard id, say): guards with the same
     /// policy seed but different salts draw decorrelated backoff
     /// schedules.
@@ -288,6 +311,11 @@ impl<I: ?Sized> GuardedVariant<I> {
     /// wrapped function without an installed model starts out
     /// [`HealthStatus::Degraded`] (default-variant mode) — load one via
     /// [`GuardedVariant::load_model_or_degrade`].
+    ///
+    /// The guard's `guard.<fn>.*` counters are registered in the metrics
+    /// registry of the tracer installed in the variant's context, so a
+    /// traced run exports them; without a tracer they live in a private
+    /// registry that [`GuardedVariant::stats`] reads.
     pub fn new(cv: CodeVariant<I>, policy: GuardPolicy) -> Result<Self> {
         let diagnostics = audit_guard_policy(cv.name(), &policy);
         if nitro_audit::has_errors(&diagnostics) {
@@ -300,22 +328,22 @@ impl<I: ?Sized> GuardedVariant<I> {
                 reason: "no trained model installed; serving the default variant".into(),
             }
         };
-        let shared = Arc::new(GuardShared::new(&policy, cv.n_variants(), health));
-        let guard = Self {
+        let registry = cv
+            .context()
+            .tracer()
+            .map_or_else(MetricsRegistry::new, |t| t.metrics().clone());
+        let metrics = GuardMetrics::register(&registry, cv.name());
+        let shared = Arc::new(GuardShared::new(&policy, cv.n_variants(), health, metrics));
+        Ok(Self {
             cv,
             policy,
             shared,
-            pulse: None,
             jitter_salt: 0,
             retry_seq: AtomicU64::new(0),
-        };
-        if let Some(tracer) = guard.cv.context().tracer() {
-            guard.declare_tracer_metrics(&tracer);
-        }
-        Ok(guard)
+        })
     }
 
-    /// Wrap a code variant that shares breaker, health and statistics
+    /// Wrap a code variant that shares breaker, health and event-counter
     /// state with sibling guards (one per serving shard, say). The
     /// constructing guard does **not** reset the shared health — the
     /// bundle keeps whatever state its owners have driven it to. The
@@ -331,18 +359,13 @@ impl<I: ?Sized> GuardedVariant<I> {
         if nitro_audit::has_errors(&diagnostics) {
             return Err(NitroError::Audit { diagnostics });
         }
-        let guard = Self {
+        Ok(Self {
             cv,
             policy,
             shared,
-            pulse: None,
             jitter_salt: 0,
             retry_seq: AtomicU64::new(0),
-        };
-        if let Some(tracer) = guard.cv.context().tracer() {
-            guard.declare_tracer_metrics(&tracer);
-        }
-        Ok(guard)
+        })
     }
 
     /// Set this guard's jitter salt (typically the serving shard index)
@@ -387,7 +410,7 @@ impl<I: ?Sized> GuardedVariant<I> {
         Self::new(cv, GuardPolicy::default())
     }
 
-    /// The shared breaker/health/stats bundle, for constructing sibling
+    /// The shared breaker/health/counter bundle, for constructing sibling
     /// guards with [`GuardedVariant::new_sharing`].
     pub fn shared(&self) -> Arc<GuardShared> {
         self.shared.clone()
@@ -437,9 +460,11 @@ impl<I: ?Sized> GuardedVariant<I> {
     }
 
     /// Cumulative statistics (snapshot; aggregated across every guard
-    /// sharing this state).
+    /// sharing this state). In a tracer's registry the counters are
+    /// keyed by function name, so every guard of this function built on
+    /// that tracer adds into them, exactly as the export shows.
     pub fn stats(&self) -> GuardStats {
-        self.shared.stats.snapshot()
+        self.shared.metrics.stats()
     }
 
     /// One variant's breaker state, if the index is in range.
@@ -486,35 +511,6 @@ impl<I: ?Sized> GuardedVariant<I> {
         nitro_audit::TuningGraph::from_code_variant(&self.cv).with_cascade(self.cascade_edges())
     }
 
-    /// Pre-register this guard's counters in a tracer's registry so an
-    /// exported snapshot distinguishes "never happened" from "never
-    /// instrumented" (same contract as
-    /// [`CodeVariant::declare_tracer_metrics`]).
-    pub fn declare_tracer_metrics(&self, tracer: &nitro_trace::Tracer) {
-        let m = tracer.metrics();
-        for suffix in [
-            "calls",
-            "retry",
-            "failure",
-            "quarantine",
-            "recovered",
-            "degraded",
-            "fallback",
-        ] {
-            m.declare_counter(&format!("guard.{}.{suffix}", self.cv.name()));
-        }
-    }
-
-    /// Register this guard's resilience counters in a pulse registry
-    /// and record them lock-free on every call, alongside (not instead
-    /// of) any attached tracer. Also installs a
-    /// [`nitro_pulse::FunctionPulse`] observer on the wrapped
-    /// `CodeVariant`, so model-path dispatches feed the latency sketch.
-    pub fn attach_pulse(&mut self, registry: &nitro_pulse::PulseRegistry) {
-        self.pulse = Some(nitro_pulse::GuardPulse::register(registry, self.cv.name()));
-        nitro_pulse::FunctionPulse::install(&mut self.cv, registry, None);
-    }
-
     /// Load and audit this function's model from the context, degrading
     /// (instead of erroring) when it is missing, mismatched or fails the
     /// artifact audit. Returns the resulting health status.
@@ -540,8 +536,9 @@ impl<I: ?Sized> GuardedVariant<I> {
     }
 
     /// Load the newest *intact* version from a `nitro-store`
-    /// [`ArtifactStore`], degrading instead of erroring when the store is
-    /// empty or every version is corrupt. Versions that fail their
+    /// [`ArtifactStore`](nitro_store::ArtifactStore), degrading instead
+    /// of erroring when the store is empty or every version is corrupt.
+    /// Versions that fail their
     /// checksum are walked past (never installed), and the store's
     /// `NITRO071`/`NITRO072` diagnostics for them are returned alongside
     /// the resulting health status so callers can surface what was
@@ -662,7 +659,7 @@ impl<I: ?Sized> GuardedVariant<I> {
     }
 
     /// The full resilient dispatch pipeline. Takes `&self`: every piece
-    /// of mutable guard state (breakers, health, stats) is atomic, so a
+    /// of mutable guard state (breakers, health, counters) is atomic, so a
     /// single guard behind an `Arc` serves all worker shards with no
     /// lock anywhere on this path.
     ///
@@ -691,6 +688,7 @@ impl<I: ?Sized> GuardedVariant<I> {
             return Err(NitroError::NoVariants);
         }
         let shared = &*self.shared;
+        let m = &shared.metrics;
         // Advance every quarantine clock by one guarded call.
         for b in &shared.breakers {
             b.tick();
@@ -713,21 +711,9 @@ impl<I: ?Sized> GuardedVariant<I> {
             )
         });
 
-        shared.stats.calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &tracer {
-            t.metrics().inc(&format!("guard.{name}.calls"));
-        }
-        if let Some(p) = &self.pulse {
-            p.calls.inc();
-        }
+        m.calls.inc();
         if degraded {
-            shared.stats.degraded_calls.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &tracer {
-                t.metrics().inc(&format!("guard.{name}.degraded"));
-            }
-            if let Some(p) = &self.pulse {
-                p.degraded.inc();
-            }
+            m.degraded.inc();
         }
         if cascade.is_empty() {
             return Err(NitroError::NoSelectionPossible);
@@ -750,28 +736,18 @@ impl<I: ?Sized> GuardedVariant<I> {
             for attempt in 0..max_attempts {
                 if attempt > 0 {
                     retries += 1;
-                    shared.stats.retries.fetch_add(1, Ordering::Relaxed);
+                    m.retry.inc();
                     let seq = self.retry_seq.fetch_add(1, Ordering::Relaxed);
                     let pause = self.backoff_pause_ns(candidate, attempt, seq);
                     backoff_ns += pause;
-                    shared.stats.add_backoff(pause);
-                    if let Some(t) = &tracer {
-                        t.metrics().inc(&format!("guard.{name}.retry"));
-                    }
-                    if let Some(p) = &self.pulse {
-                        p.retry.inc();
-                    }
+                    m.add_backoff(pause);
                 }
                 attempts += 1;
                 match self.cv.try_run_variant(candidate, input) {
                     Ok(objective) => {
                         if breaker.and_then(|b| b.on_success()) == Some(Transition::Recovered) {
-                            shared.stats.recoveries.fetch_add(1, Ordering::Relaxed);
-                            if let Some(p) = &self.pulse {
-                                p.recovered.inc();
-                            }
+                            m.recovered.inc();
                             if let Some(t) = &tracer {
-                                t.metrics().inc(&format!("guard.{name}.recovered"));
                                 t.instant(
                                     &format!("guard:{name}"),
                                     "guard",
@@ -786,13 +762,7 @@ impl<I: ?Sized> GuardedVariant<I> {
                         break 'cascade;
                     }
                     Err(e) => {
-                        shared.stats.failures.fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = &tracer {
-                            t.metrics().inc(&format!("guard.{name}.failure"));
-                        }
-                        if let Some(p) = &self.pulse {
-                            p.failure.inc();
-                        }
+                        m.failure.inc();
                         let tripped = breaker.and_then(|b| b.on_failure());
                         last_failure = Some(match e {
                             NitroError::VariantFailed {
@@ -809,12 +779,8 @@ impl<I: ?Sized> GuardedVariant<I> {
                             other => other,
                         });
                         if let Some(transition) = tripped {
-                            shared.stats.quarantines.fetch_add(1, Ordering::Relaxed);
-                            if let Some(p) = &self.pulse {
-                                p.quarantine.inc();
-                            }
+                            m.quarantine.inc();
                             if let Some(t) = &tracer {
-                                t.metrics().inc(&format!("guard.{name}.quarantine"));
                                 t.instant(
                                     &format!("guard:{name}"),
                                     "guard",
@@ -854,13 +820,7 @@ impl<I: ?Sized> GuardedVariant<I> {
 
         let fell_back = candidate != cascade[0];
         if fell_back {
-            shared.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &tracer {
-                t.metrics().inc(&format!("guard.{name}.fallback"));
-            }
-            if let Some(p) = &self.pulse {
-                p.fallback.inc();
-            }
+            m.fallback.inc();
         }
         if let Some(s) = span.as_mut() {
             s.end_arg("chosen", nitro_trace::val(&candidate));
@@ -1337,14 +1297,14 @@ mod tests {
         guard.call(&9.0).unwrap();
 
         let m = tracer.metrics();
-        assert_eq!(m.counter("guard.toy.calls"), Some(1));
-        assert_eq!(m.counter("guard.toy.retry"), Some(1));
-        assert_eq!(m.counter("guard.toy.failure"), Some(2));
-        assert_eq!(m.counter("guard.toy.quarantine"), Some(1));
-        assert_eq!(m.counter("guard.toy.fallback"), Some(1));
-        // Declared-but-untouched counters exist at zero.
-        assert_eq!(m.counter("guard.toy.degraded"), Some(0));
-        assert_eq!(m.counter("guard.toy.recovered"), Some(0));
+        assert_eq!(m.counter_value("guard.toy.calls"), Some(1));
+        assert_eq!(m.counter_value("guard.toy.retry"), Some(1));
+        assert_eq!(m.counter_value("guard.toy.failure"), Some(2));
+        assert_eq!(m.counter_value("guard.toy.quarantine"), Some(1));
+        assert_eq!(m.counter_value("guard.toy.fallback"), Some(1));
+        // Registered-but-untouched counters exist at zero.
+        assert_eq!(m.counter_value("guard.toy.degraded"), Some(0));
+        assert_eq!(m.counter_value("guard.toy.recovered"), Some(0));
         let events = sink.snapshot();
         assert!(events
             .iter()
@@ -1352,34 +1312,83 @@ mod tests {
     }
 
     #[test]
-    fn guard_metrics_reach_the_pulse_registry() {
-        let registry = nitro_pulse::PulseRegistry::with_stripes(2);
+    fn stats_equal_the_exported_counters_under_a_seeded_campaign() {
         let ctx = Context::new();
+        let tracer = nitro_trace::Tracer::new(Arc::new(nitro_trace::RingSink::new(64)));
+        ctx.install_tracer(tracer.clone());
         let mut cv = toy(&ctx);
+        // Variant 1 fails on a seeded third of its runs.
+        let stream = AtomicU64::new(0x5EED);
         cv.replace_variant(
             1,
-            Arc::new(FnVariant::new("large", |_: &f64| -> f64 {
-                panic!("injected variant failure: 'large'")
+            Arc::new(FnVariant::new("large", move |&x: &f64| {
+                let draw = nitro_core::mix64(stream.fetch_add(1, Ordering::Relaxed));
+                if draw.is_multiple_of(3) {
+                    panic!("injected variant failure: 'large'");
+                }
+                10.0 - x * 0.5
             })),
         )
         .unwrap();
         cv.install_model(toy_model());
-        let mut guard = GuardedVariant::new(cv, quick_policy()).unwrap();
-        guard.attach_pulse(&registry);
-        guard.call(&9.0).unwrap();
+        let policy = GuardPolicy {
+            backoff_base_ns: 250.0,
+            backoff_jitter: 0.5,
+            jitter_seed: 7,
+            ..quick_policy()
+        };
+        let guard = GuardedVariant::new(cv, policy).unwrap();
+        // A sibling shard on the same shared state counts into the same
+        // handles, not a second set.
+        let mut sibling_cv = toy(&ctx);
+        sibling_cv.install_model(toy_model());
+        let sibling =
+            GuardedVariant::new_sharing(sibling_cv, quick_policy(), guard.shared()).unwrap();
+        for i in 0..200 {
+            if i == 120 {
+                guard.degrade("campaign");
+            }
+            if i == 150 {
+                guard.shared.health.set(HealthStatus::Healthy);
+            }
+            let x = f64::from(i % 10);
+            let _ = if i % 4 == 0 {
+                sibling.call(&x)
+            } else {
+                guard.call(&x)
+            };
+        }
 
-        assert_eq!(registry.counter_value("guard.toy.calls"), Some(1));
-        assert_eq!(registry.counter_value("guard.toy.retry"), Some(1));
-        assert_eq!(registry.counter_value("guard.toy.failure"), Some(2));
-        assert_eq!(registry.counter_value("guard.toy.quarantine"), Some(1));
-        assert_eq!(registry.counter_value("guard.toy.fallback"), Some(1));
-        assert_eq!(registry.counter_value("guard.toy.degraded"), Some(0));
-        // attach_pulse also installed a FunctionPulse observer on the
-        // inner CodeVariant: the model-path dispatch fed the sketch.
-        let latency = registry
-            .fused_sketch("dispatch.toy.latency_ns")
-            .expect("latency sketch registered");
-        assert_eq!(latency.count(), 1);
+        let stats = guard.stats();
+        for (event, n) in [
+            ("retries", stats.retries),
+            ("failures", stats.failures),
+            ("quarantines", stats.quarantines),
+            ("recoveries", stats.recoveries),
+            ("degraded calls", stats.degraded_calls),
+            ("fallbacks", stats.fallbacks),
+        ] {
+            assert!(n > 0, "the campaign exercises {event}");
+        }
+        assert_eq!(stats.calls, 200);
+        let snap = tracer.metrics_snapshot();
+        let exported = |event: &str| {
+            snap.counter(&format!("guard.toy.{event}"))
+                .unwrap_or_else(|| panic!("guard.toy.{event} exported"))
+        };
+        let expected = GuardStats {
+            calls: exported("calls"),
+            retries: exported("retry"),
+            failures: exported("failure"),
+            quarantines: exported("quarantine"),
+            recoveries: exported("recovered"),
+            degraded_calls: exported("degraded"),
+            fallbacks: exported("fallback"),
+            backoff_ns: stats.backoff_ns,
+        };
+        assert_eq!(stats, expected);
+        assert_eq!(sibling.stats(), stats);
+        assert!(stats.backoff_ns > 0.0);
     }
 
     #[test]

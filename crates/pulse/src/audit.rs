@@ -11,7 +11,8 @@
 use nitro_core::diag::registry::codes;
 use nitro_core::Diagnostic;
 
-use crate::registry::PulseRegistry;
+use nitro_trace::MetricsRegistry;
+
 use crate::slo::SloSpec;
 
 /// How often a metric is expected to receive observations, for the
@@ -36,7 +37,7 @@ pub struct MetricCadence {
 ///   quantiles/rates are statistically meaningless.
 pub fn audit_slos(
     specs: &[SloSpec],
-    registry: &PulseRegistry,
+    registry: &MetricsRegistry,
     tick_interval_ns: u64,
     cadences: &[MetricCadence],
 ) -> Vec<Diagnostic> {
@@ -49,7 +50,7 @@ pub fn audit_slos(
                     &spec.name,
                     format!(
                         "SLO '{}' references metric '{metric}', which is not registered \
-                         in the pulse registry; the objective will never evaluate",
+                         in the metrics registry; the objective will never evaluate",
                         spec.name
                     ),
                 ));
@@ -76,7 +77,7 @@ pub fn audit_slos(
     out
 }
 
-/// Audit a pulse registry's own health.
+/// Audit a metrics registry's own health.
 ///
 /// * `NITRO091` (warning): a sketch has saturated observations — its
 ///   upper quantiles degrade to the observed max; widen `max_buckets`
@@ -84,7 +85,7 @@ pub fn audit_slos(
 /// * `NITRO093` (warning): the registry stripes metrics across fewer
 ///   cells than the machine has hardware threads, so concurrent
 ///   recorders will share stripes and contend.
-pub fn audit_registry(registry: &PulseRegistry) -> Vec<Diagnostic> {
+pub fn audit_registry(registry: &MetricsRegistry) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (name, saturated) in registry.saturation() {
         if saturated > 0 {
@@ -105,7 +106,7 @@ pub fn audit_registry(registry: &PulseRegistry) -> Vec<Diagnostic> {
     if registry.stripes() < parallelism {
         out.push(Diagnostic::warning(
             codes::NITRO093,
-            "pulse registry",
+            "metrics registry",
             format!(
                 "registry stripes metrics across {} cell(s) but the machine exposes {} \
                  hardware thread(s); concurrent recorders will share stripes and contend",
@@ -120,12 +121,12 @@ pub fn audit_registry(registry: &PulseRegistry) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketch::SketchConfig;
     use crate::slo::{SloSpec, WindowSpec};
+    use nitro_trace::SketchConfig;
 
     #[test]
     fn unknown_metric_fires_nitro090() {
-        let r = PulseRegistry::with_stripes(2);
+        let r = MetricsRegistry::with_stripes(2);
         r.sketch("dispatch.spmv.latency_ns");
         let specs = vec![
             SloSpec::p99_below("good", "dispatch.spmv.latency_ns", 1e6),
@@ -139,7 +140,7 @@ mod tests {
 
     #[test]
     fn rate_slo_checks_both_counters() {
-        let r = PulseRegistry::with_stripes(2);
+        let r = MetricsRegistry::with_stripes(2);
         r.counter("guard.spmv.fallback");
         let specs = vec![SloSpec::rate_below(
             "fb",
@@ -153,7 +154,7 @@ mod tests {
 
     #[test]
     fn undersized_window_fires_nitro092() {
-        let r = PulseRegistry::with_stripes(2);
+        let r = MetricsRegistry::with_stripes(2);
         r.sketch("store.spmv.promotion_ns");
         let specs = vec![
             SloSpec::p99_below("promo", "store.spmv.promotion_ns", 1e6).with_windows(vec![
@@ -175,7 +176,7 @@ mod tests {
 
     #[test]
     fn saturated_sketch_fires_nitro091() {
-        let r = PulseRegistry::with_stripes(2);
+        let r = MetricsRegistry::with_stripes(2);
         let s = r.sketch_with(
             "tiny",
             SketchConfig {
@@ -191,7 +192,7 @@ mod tests {
 
     #[test]
     fn healthy_registry_is_clean_except_possible_striping() {
-        let r = PulseRegistry::new(); // default stripes >= parallelism
+        let r = MetricsRegistry::new(); // default stripes >= parallelism
         r.sketch("ok").record(100.0);
         let diags = audit_registry(&r);
         assert!(diags.iter().all(|d| d.code != "NITRO091"));
@@ -206,7 +207,7 @@ mod tests {
         if parallelism < 2 {
             return; // single-core machine: 1 stripe genuinely suffices
         }
-        let r = PulseRegistry::with_stripes(1);
+        let r = MetricsRegistry::with_stripes(1);
         let diags = audit_registry(&r);
         assert!(diags.iter().any(|d| d.code == "NITRO093"));
     }

@@ -13,24 +13,24 @@
 use std::sync::Arc;
 
 use nitro_core::{CodeVariant, DispatchObservation, DispatchObserver};
+use nitro_trace::{Counter, MetricsRegistry, Sketch};
 
 use crate::profiler::{feature_regime, PulseProfiler};
-use crate::registry::{PulseCounter, PulseRegistry, PulseSketch};
 
-/// Pre-resolved pulse handles for one tuned function, installable as
+/// Pre-resolved metric handles for one tuned function, installable as
 /// its dispatch observer.
 #[derive(Debug)]
 pub struct FunctionPulse {
-    calls: PulseCounter,
-    async_calls: PulseCounter,
-    fallback: PulseCounter,
-    kernel_evals: PulseCounter,
+    calls: Counter,
+    async_calls: Counter,
+    fallback: Counter,
+    kernel_evals: Counter,
     /// Indexed by variant position, like the dispatcher's own tables.
-    wins: Vec<PulseCounter>,
-    vetoes: Vec<PulseCounter>,
-    latency: PulseSketch,
-    feature: PulseSketch,
-    predict: PulseSketch,
+    wins: Vec<Counter>,
+    vetoes: Vec<Counter>,
+    latency: Sketch,
+    feature: Sketch,
+    predict: Sketch,
     profiler: Option<PulseProfiler>,
 }
 
@@ -44,7 +44,7 @@ impl FunctionPulse {
     /// traced path's naming), `dispatch.<fn>.latency_ns`,
     /// `dispatch.<fn>.feature_ns`, `ml.<fn>.predict_ns` (sketches) and
     /// `ml.predict.kernel_evals`.
-    pub fn register<I: ?Sized>(registry: &PulseRegistry, cv: &CodeVariant<I>) -> Self {
+    pub fn register<I: ?Sized>(registry: &MetricsRegistry, cv: &CodeVariant<I>) -> Self {
         let name = cv.name();
         Self {
             calls: registry.counter(&format!("dispatch.{name}.calls")),
@@ -80,7 +80,7 @@ impl FunctionPulse {
     /// asserting on values in tests).
     pub fn install<I: ?Sized>(
         cv: &mut CodeVariant<I>,
-        registry: &PulseRegistry,
+        registry: &MetricsRegistry,
         profiler: Option<PulseProfiler>,
     ) -> Arc<FunctionPulse> {
         let mut fp = FunctionPulse::register(registry, cv);
@@ -98,7 +98,7 @@ impl FunctionPulse {
     }
 
     /// The function's latency sketch handle.
-    pub fn latency(&self) -> &PulseSketch {
+    pub fn latency(&self) -> &Sketch {
         &self.latency
     }
 }
@@ -140,44 +140,6 @@ impl DispatchObserver for FunctionPulse {
     }
 }
 
-/// Pre-resolved pulse counters for one guarded function
-/// (`guard.<fn>.*`, mirroring `nitro-guard`'s traced counter names).
-/// `nitro-guard` records into these alongside — and independently of —
-/// its tracer metrics.
-#[derive(Debug, Clone)]
-pub struct GuardPulse {
-    /// `guard.<fn>.calls`.
-    pub calls: PulseCounter,
-    /// `guard.<fn>.failure`.
-    pub failure: PulseCounter,
-    /// `guard.<fn>.fallback`.
-    pub fallback: PulseCounter,
-    /// `guard.<fn>.retry`.
-    pub retry: PulseCounter,
-    /// `guard.<fn>.recovered`.
-    pub recovered: PulseCounter,
-    /// `guard.<fn>.quarantine`.
-    pub quarantine: PulseCounter,
-    /// `guard.<fn>.degraded`.
-    pub degraded: PulseCounter,
-}
-
-impl GuardPulse {
-    /// Register the guard counter set for `function`.
-    pub fn register(registry: &PulseRegistry, function: &str) -> Self {
-        let c = |suffix: &str| registry.counter(&format!("guard.{function}.{suffix}"));
-        Self {
-            calls: c("calls"),
-            failure: c("failure"),
-            fallback: c("fallback"),
-            retry: c("retry"),
-            recovered: c("recovered"),
-            quarantine: c("quarantine"),
-            degraded: c("degraded"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +157,7 @@ mod tests {
 
     #[test]
     fn installed_pulse_counts_dispatches() {
-        let registry = PulseRegistry::with_stripes(2);
+        let registry = MetricsRegistry::with_stripes(2);
         let mut cv = toy();
         let fp = FunctionPulse::install(&mut cv, &registry, None);
         for i in 0..20 {
@@ -213,7 +175,7 @@ mod tests {
 
     #[test]
     fn profiler_samples_through_the_observer() {
-        let registry = PulseRegistry::with_stripes(2);
+        let registry = MetricsRegistry::with_stripes(2);
         let profiler = PulseProfiler::new(4);
         let mut cv = toy();
         FunctionPulse::install(&mut cv, &registry, Some(profiler.clone()));
@@ -227,7 +189,7 @@ mod tests {
 
     #[test]
     fn snapshot_feeds_the_audit_metrics_analyzer_shape() {
-        let registry = PulseRegistry::with_stripes(2);
+        let registry = MetricsRegistry::with_stripes(2);
         let mut cv = toy();
         FunctionPulse::install(&mut cv, &registry, None);
         for i in 0..15 {
@@ -239,16 +201,5 @@ mod tests {
         assert_eq!(snap.counter("dispatch.toy.calls"), Some(15));
         assert!(snap.counter("dispatch.toy.win.b").is_some());
         assert!(snap.histogram("dispatch.toy.latency_ns").is_some());
-    }
-
-    #[test]
-    fn guard_pulse_registers_the_counter_set() {
-        let registry = PulseRegistry::with_stripes(2);
-        let gp = GuardPulse::register(&registry, "spmv");
-        gp.calls.add(10);
-        gp.fallback.inc();
-        assert_eq!(registry.counter_value("guard.spmv.calls"), Some(10));
-        assert_eq!(registry.counter_value("guard.spmv.fallback"), Some(1));
-        assert_eq!(registry.counter_value("guard.spmv.retry"), Some(0));
     }
 }

@@ -1,25 +1,14 @@
-//! # nitro-pulse — concurrency-first telemetry for the Nitro stack
+//! # nitro-pulse — dispatch telemetry built on the `nitro-trace` registry
 //!
-//! The observability layer in `nitro-trace` funnels every metric
-//! through one mutex and buckets latencies by decade — fine for
-//! single-threaded tuning runs, fatal for a serving layer where N
-//! worker shards record on every dispatch and a p99 has to mean
-//! something. This crate is the production-shaped replacement, built
-//! around four pieces:
+//! Metrics live in one store, `nitro-trace`'s [`MetricsRegistry`]:
+//! striped lock-free counters, gauges and quantile sketches whose
+//! snapshots export as a [`MetricsSnapshot`]. This crate builds the
+//! serving-side telemetry on top of it:
 //!
-//! * **Sharded lock-free metrics** ([`PulseRegistry`],
-//!   [`PulseCounter`], [`PulseGauge`], [`PulseSketch`]): metrics are
-//!   registered once, at wiring time, returning handles that record
-//!   through per-thread striped atomics ([`StripedU64`]) — no lock, no
-//!   allocation, no false sharing. Snapshots fold the stripes back
-//!   into the ordinary `nitro-trace` [`MetricsSnapshot`] schema, so
-//!   every existing consumer reads pulse metrics unchanged.
-//! * **Mergeable quantile sketches** ([`QuantileSketch`],
-//!   [`ConcurrentSketch`]): DDSketch-style log-bucketed sketches with a
-//!   configured relative-error bound `α` — a p99 read off a sketch is
-//!   within `α` of the true p99. Merging adds bucket counts and is
-//!   associative and commutative, so per-stripe and per-shard sketches
-//!   fuse into process-level p50/p99/p999 with no accuracy loss.
+//! * **Dispatch observation** ([`FunctionPulse`]): registers a tuned
+//!   function's whole metric set once and records every call through
+//!   `nitro-core`'s [`DispatchObserver`] hook — a handful of relaxed
+//!   atomic ops per dispatch, no lock, no allocation, no formatting.
 //! * **Continuous dispatch profiling** ([`PulseProfiler`]): every Kth
 //!   `CodeVariant::call` is sampled into per-(function, variant,
 //!   feature-regime) latency sketches, exported as collapsed-stack
@@ -31,15 +20,11 @@
 //!   `nitro_store::StagedPromotion` consumes a latency regression as a
 //!   rollback signal, closing the observe→act loop.
 //!
-//! Wiring into dispatch goes through `nitro-core`'s
-//! [`DispatchObserver`] hook: [`FunctionPulse::install`] registers a
-//! function's whole metric set and observes every call; [`GuardPulse`]
-//! does the same for `nitro-guard`'s resilience counters.
-//!
 //! Misconfigurations are audited as `NITRO090`–`NITRO093`
 //! ([`audit_slos`], [`audit_registry`]).
 //!
 //! [`DispatchObserver`]: nitro_core::DispatchObserver
+//! [`MetricsRegistry`]: nitro_trace::MetricsRegistry
 //! [`MetricsSnapshot`]: nitro_trace::MetricsSnapshot
 
 #![warn(missing_docs)]
@@ -47,15 +32,9 @@
 pub mod audit;
 pub mod dispatch;
 pub mod profiler;
-pub mod registry;
-pub mod sketch;
 pub mod slo;
-mod stripe;
 
 pub use audit::{audit_registry, audit_slos, MetricCadence};
-pub use dispatch::{FunctionPulse, GuardPulse};
+pub use dispatch::FunctionPulse;
 pub use profiler::{feature_regime, ProfileEntry, ProfileReport, PulseProfiler};
-pub use registry::{PulseCounter, PulseGauge, PulseRegistry, PulseSketch};
-pub use sketch::{ConcurrentSketch, QuantileSketch, SketchConfig};
 pub use slo::{AlertKind, AlertSeverity, PulseAlert, SloExpr, SloSpec, SloWatchdog, WindowSpec};
-pub use stripe::{default_stripes, StripedU64};

@@ -12,8 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use parking_lot::Mutex;
 
-use crate::sketch::{QuantileSketch, SketchConfig};
-use crate::stripe::{default_stripes, StripedU64};
+use nitro_trace::{default_stripes, QuantileSketch, SketchConfig, StripedU64};
 
 /// Feature-regime quantization used by default: the order of magnitude
 /// of the first feature (most Nitro features lead with a size-like

@@ -23,8 +23,7 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use crate::registry::PulseRegistry;
-use crate::sketch::QuantileSketch;
+use nitro_trace::{MetricsRegistry, QuantileSketch};
 
 /// What an SLO constrains.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -243,7 +242,7 @@ impl Frame {
     }
 }
 
-/// Evaluates a set of [`SloSpec`]s against a [`PulseRegistry`], one
+/// Evaluates a set of [`SloSpec`]s against a [`MetricsRegistry`], one
 /// sliding-window frame per [`tick`](SloWatchdog::tick).
 #[derive(Debug)]
 pub struct SloWatchdog {
@@ -291,7 +290,7 @@ impl SloWatchdog {
 
     /// Capture one frame and evaluate every objective. Returns the
     /// alerts that fired this tick.
-    pub fn tick(&mut self, registry: &PulseRegistry) -> Vec<PulseAlert> {
+    pub fn tick(&mut self, registry: &MetricsRegistry) -> Vec<PulseAlert> {
         let mut sketches = Vec::new();
         let mut counters = Vec::new();
         for spec in &self.specs {
@@ -422,7 +421,7 @@ mod tests {
 
     #[test]
     fn healthy_stream_never_alerts() {
-        let r = PulseRegistry::with_stripes(2);
+        let r = MetricsRegistry::with_stripes(2);
         let s = r.sketch("dispatch.spmv.latency_ns");
         let mut dog = SloWatchdog::new(vec![latency_spec(10_000.0)]);
         for _ in 0..6 {
@@ -435,7 +434,7 @@ mod tests {
 
     #[test]
     fn sustained_regression_trips_the_latency_slo() {
-        let r = PulseRegistry::with_stripes(2);
+        let r = MetricsRegistry::with_stripes(2);
         let s = r.sketch("dispatch.spmv.latency_ns");
         let mut dog = SloWatchdog::new(vec![latency_spec(10_000.0)]);
         // Healthy warm-up fills the windows.
@@ -462,7 +461,7 @@ mod tests {
 
     #[test]
     fn transient_spike_outside_all_windows_does_not_page() {
-        let r = PulseRegistry::with_stripes(2);
+        let r = MetricsRegistry::with_stripes(2);
         let s = r.sketch("dispatch.spmv.latency_ns");
         let mut dog = SloWatchdog::new(vec![latency_spec(10_000.0)]);
         // One bad tick...
@@ -487,7 +486,7 @@ mod tests {
 
     #[test]
     fn fallback_rate_slo_fires_on_budget_burn() {
-        let r = PulseRegistry::with_stripes(2);
+        let r = MetricsRegistry::with_stripes(2);
         let calls = r.counter("dispatch.spmv.calls");
         let fb = r.counter("guard.spmv.fallback");
         let spec = SloSpec::rate_below(

@@ -30,10 +30,9 @@
 //! expiry is checked at admission and re-checked at dequeue, and the
 //! optional hopeless-shed drops requests whose remaining budget is
 //! below the shard's smoothed service-time estimate. Every decision
-//! increments a [`ServePulse`](crate::ServePulse) counter.
+//! increments a [`ServePulse`] counter.
 //!
-//! With supervision enabled (the default), a panic that escapes the
-//! guarded dispatch kills only its shard: the worker records the
+//! A panic that escapes the guarded dispatch kills only its shard: the worker records the
 //! offending request ([`PanicRecord`]), parks it for re-placement (or
 //! quarantines it once it has killed
 //! [`SupervisorConfig::poison_kill_threshold`] shards, `NITRO112`),
@@ -51,8 +50,9 @@ use std::thread::JoinHandle;
 
 use nitro_core::{CodeVariant, Diagnostic, ModelArtifact, NitroError, RequestMeta, Result};
 use nitro_guard::{GuardPolicy, GuardShared, GuardedInvocation, GuardedVariant};
-use nitro_pulse::{PulseAlert, PulseRegistry};
+use nitro_pulse::PulseAlert;
 use nitro_store::StagedPromotion;
+use nitro_trace::MetricsRegistry;
 
 use crate::admission::TenantBuckets;
 use crate::audit::{
@@ -98,10 +98,8 @@ pub struct ServeConfig {
     /// Shed queued requests whose remaining budget is below the shard's
     /// smoothed service-time estimate.
     pub hopeless_shedding: bool,
-    /// Shard supervision and self-healing. `Some` (the default) runs
-    /// the supervisor; `None` keeps the legacy behavior where a worker
-    /// survives an escaped panic by failing the request in place.
-    pub supervision: Option<SupervisorConfig>,
+    /// Shard supervision and self-healing knobs.
+    pub supervision: SupervisorConfig,
 }
 
 impl Default for ServeConfig {
@@ -122,7 +120,7 @@ impl Default for ServeConfig {
             default_budget_ns: 5_000_000,
             expected_p99_floor_ns: None,
             hopeless_shedding: true,
-            supervision: Some(SupervisorConfig::default()),
+            supervision: SupervisorConfig::default(),
         }
     }
 }
@@ -342,7 +340,7 @@ struct FrontInner<I> {
     /// Handles of fenced-out (wedged) or retired workers; joined at
     /// shutdown if they finished, detached otherwise.
     zombie_handles: Mutex<Vec<JoinHandle<()>>>,
-    factory: Option<WorkerFactory<I>>,
+    factory: WorkerFactory<I>,
 }
 
 /// Aggregate outcome of a front door's lifetime, from
@@ -379,7 +377,7 @@ pub struct ServeSummary {
 /// function. See the module docs for the pipeline.
 pub struct ServeFront<I: Send + Sync + 'static> {
     inner: Arc<FrontInner<I>>,
-    supervisor: Option<JoinHandle<()>>,
+    supervisor: JoinHandle<()>,
 }
 
 impl<I: Send + Sync + 'static> ServeFront<I> {
@@ -391,14 +389,14 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
     /// ([`GuardedVariant::new_sharing`]), so a variant quarantined on
     /// one shard is quarantined on all. The configuration audit
     /// (`NITRO100`–`NITRO104`) runs first and error findings refuse
-    /// startup; attach a `PulseRegistry` to get the `serve.*` metrics.
-    /// With supervision enabled the factory is retained and re-invoked
-    /// to rebuild dead shards, so it must be `Send + Sync + 'static`.
+    /// startup; attach a `MetricsRegistry` to get the `serve.*` metrics.
+    /// The factory is retained and re-invoked to rebuild dead shards,
+    /// so it must be `Send + Sync + 'static`.
     pub fn start(
         config: ServeConfig,
         policy: GuardPolicy,
         clock: ServeClock,
-        registry: Option<&PulseRegistry>,
+        registry: Option<&MetricsRegistry>,
         make_cv: impl Fn(usize) -> CodeVariant<I> + Send + Sync + 'static,
     ) -> Result<Self> {
         let cv0 = make_cv(0);
@@ -434,11 +432,11 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
         }
 
         let supervision = config.supervision.clone();
-        let factory = supervision.is_some().then(|| WorkerFactory {
+        let factory = WorkerFactory {
             make_cv: Arc::new(make_cv),
             policy: policy.clone(),
             shared: shared.clone(),
-        });
+        };
 
         let pulse = registry.map(|r| ServePulse::register(r, &function));
         let shard_count = guards.len();
@@ -494,13 +492,13 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             .collect();
         *inner.worker_handles.lock().expect("worker handles") = handles;
 
-        let supervisor = supervision.map(|sup| {
+        let supervisor = {
             let inner = inner.clone();
             std::thread::Builder::new()
                 .name("nitro-serve-supervisor".into())
-                .spawn(move || supervisor_loop(inner, sup))
+                .spawn(move || supervisor_loop(inner, supervision))
                 .expect("spawn serve supervisor")
-        });
+        };
 
         Ok(Self { inner, supervisor })
     }
@@ -682,9 +680,7 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
         for q in &self.inner.queues {
             q.close();
         }
-        if let Some(supervisor) = self.supervisor {
-            let _ = supervisor.join();
-        }
+        let _ = self.supervisor.join();
         let handles: Vec<JoinHandle<()>> = self
             .inner
             .worker_handles
@@ -906,26 +902,24 @@ fn worker_loop<I: Send + Sync + 'static>(
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                if handle_escaped_panic(shard, generation, job, detail, &inner) {
-                    break; // the shard is dead; the supervisor takes over
-                }
+                handle_escaped_panic(shard, generation, job, detail, &inner);
+                break; // the shard is dead; the supervisor takes over
             }
         }
     }
 }
 
-/// Account an escaped panic against the request that caused it. In
-/// supervised mode the job is parked for re-placement (or quarantined
-/// as a poison pill), the shard slot is marked dead with its restart
-/// backoff armed, and the worker must exit (returns `true`). In legacy
-/// mode the request fails in place and the worker lives on (`false`).
+/// Account an escaped panic against the request that caused it: the job
+/// is parked for re-placement (or quarantined as a poison pill) and the
+/// shard slot is marked dead with its restart backoff armed. The worker
+/// must exit afterwards.
 fn handle_escaped_panic<I: Send + Sync + 'static>(
     shard: usize,
     generation: u64,
     mut job: Job<I>,
     detail: String,
     inner: &Arc<FrontInner<I>>,
-) -> bool {
+) {
     inner.escaped_panics.fetch_add(1, Ordering::SeqCst);
     if let Some(p) = &inner.pulse {
         p.panics.inc();
@@ -940,19 +934,10 @@ fn handle_escaped_panic<I: Send + Sync + 'static>(
             lineage: job.lineage,
             tenant: job.meta.tenant.0,
             priority: format!("{:?}", job.meta.priority),
-            detail: detail.clone(),
+            detail,
         });
 
-    let Some(sup) = inner.config.supervision.clone() else {
-        job.reply.resolve(ServeOutcome::Failed {
-            error: format!(
-                "panic escaped the guarded dispatch (request lineage {}, tenant {}): {detail}",
-                job.lineage, job.meta.tenant.0
-            ),
-        });
-        return false;
-    };
-
+    let sup = &inner.config.supervision;
     job.kills += 1;
     if job.kills >= sup.poison_kill_threshold {
         inner.poison_quarantined.fetch_add(1, Ordering::SeqCst);
@@ -989,7 +974,6 @@ fn handle_escaped_panic<I: Send + Sync + 'static>(
     if let Some(p) = &inner.pulse {
         p.shard_deaths.inc();
     }
-    true
 }
 
 /// The supervisor: polls every shard slot, drains and restarts dead
@@ -1177,10 +1161,7 @@ fn spawn_worker<I: Send + Sync + 'static>(
     shard: usize,
     generation: u64,
 ) -> Result<JoinHandle<()>> {
-    let factory = inner
-        .factory
-        .as_ref()
-        .expect("supervised front keeps its factory");
+    let factory = &inner.factory;
     let cv = catch_unwind(AssertUnwindSafe(|| (factory.make_cv)(shard))).map_err(|_| {
         NitroError::ModelMismatch {
             detail: format!("shard {shard} registration factory panicked while rebuilding"),

@@ -33,8 +33,7 @@ pub struct ConservationLedger {
     pub shed_hopeless: AtomicU64,
     /// Resolved: drained off a dead shard with nowhere live to go.
     pub shed_failover: AtomicU64,
-    /// Resolved: dispatch failed (cascade exhausted or panic in legacy
-    /// mode).
+    /// Resolved: dispatch failed (cascade exhausted).
     pub failed: AtomicU64,
     /// Resolved: quarantined as a poison pill after killing shards.
     pub quarantined: AtomicU64,

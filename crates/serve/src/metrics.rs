@@ -1,71 +1,70 @@
-//! The `serve.*` pulse bundle: one counter per front-door decision,
+//! The `serve.*` metric bundle: one counter per front-door decision,
 //! one sketch per latency axis.
 //!
-//! Registered once at startup (mirroring
-//! [`nitro_pulse::GuardPulse`]), recorded lock-free on every decision
-//! point. Metric names follow the `serve.<fn>.<event>` convention so
+//! Registered once at startup (like the guard's `guard.<fn>.*`
+//! handles), recorded lock-free on every decision point. Metric names follow the `serve.<fn>.<event>` convention so
 //! [`nitro_pulse::PulseAlert::function`] parses them and SLOs can
 //! target them (`serve.<fn>.e2e_latency_ns` p99, shed-rate windows, …).
 
 use std::sync::Arc;
 
-use nitro_pulse::{PulseCounter, PulseGauge, PulseRegistry, PulseSketch};
+use nitro_trace::{Counter, Gauge, MetricsRegistry, Sketch};
 
 /// Lock-free handles to every `serve.<fn>.*` metric.
 #[derive(Debug)]
 pub struct ServePulse {
     /// Requests admitted past both admission gates.
-    pub admitted: PulseCounter,
+    pub admitted: Counter,
     /// Rejected: tenant token bucket empty.
-    pub rejected_tenant: PulseCounter,
+    pub rejected_tenant: Counter,
     /// Rejected: shard queue over the priority's watermark.
-    pub rejected_queue: PulseCounter,
+    pub rejected_queue: Counter,
     /// Rejected: deadline already expired at submission.
-    pub rejected_expired: PulseCounter,
+    pub rejected_expired: Counter,
     /// Shed at dequeue: deadline expired while queued (before dispatch).
-    pub shed_expired: PulseCounter,
+    pub shed_expired: Counter,
     /// Shed at dequeue: remaining budget below the service-time estimate.
-    pub shed_hopeless: PulseCounter,
+    pub shed_hopeless: Counter,
     /// Served from the cached-regime tier.
-    pub degrade_cached: PulseCounter,
+    pub degrade_cached: Counter,
     /// Served from the default-only tier.
-    pub degrade_default: PulseCounter,
+    pub degrade_default: Counter,
     /// Admitted requests that finished after their deadline (the bench
     /// gate requires this to stay 0).
-    pub deadline_violations: PulseCounter,
+    pub deadline_violations: Counter,
     /// Panics that escaped a shard's dispatch (must stay 0; the guard
     /// catches variant panics).
-    pub panics: PulseCounter,
+    pub panics: Counter,
     /// Model hot-swap installs performed by workers.
-    pub hotswap_installs: PulseCounter,
+    pub hotswap_installs: Counter,
     /// Worker deaths observed by the supervisor (panic escaped and the
     /// shard went down).
-    pub shard_deaths: PulseCounter,
+    pub shard_deaths: Counter,
     /// Supervisor restarts (dead-shard revivals plus wedged-worker
     /// replacements).
-    pub shard_restarts: PulseCounter,
+    pub shard_restarts: Counter,
     /// Shards retired after exhausting their restart budget.
-    pub shard_retired: PulseCounter,
+    pub shard_retired: Counter,
     /// Requests quarantined as poison pills.
-    pub poison_quarantined: PulseCounter,
+    pub poison_quarantined: Counter,
     /// Requests shed during failover (drained off a dead shard with no
     /// live shard to take them).
-    pub shed_failover: PulseCounter,
+    pub shed_failover: Counter,
     /// Jobs drained off dead or wedged shards for re-placement.
-    pub drained: PulseCounter,
+    pub drained: Counter,
     /// Current admission tighten level (0 = wide open).
-    pub tightened: PulseGauge,
+    pub tightened: Gauge,
     /// Dispatch latency (dequeue → completion), ns.
-    pub dispatch_latency_ns: PulseSketch,
+    pub dispatch_latency_ns: Sketch,
     /// Queue wait (admission → dequeue), ns.
-    pub queue_wait_ns: PulseSketch,
+    pub queue_wait_ns: Sketch,
     /// End-to-end latency (admission → completion), ns.
-    pub e2e_latency_ns: PulseSketch,
+    pub e2e_latency_ns: Sketch,
 }
 
 impl ServePulse {
     /// Register every `serve.<function>.*` metric.
-    pub fn register(registry: &PulseRegistry, function: &str) -> Arc<Self> {
+    pub fn register(registry: &MetricsRegistry, function: &str) -> Arc<Self> {
         let c = |event: &str| registry.counter(&format!("serve.{function}.{event}"));
         Arc::new(Self {
             admitted: c("admitted"),
@@ -99,7 +98,7 @@ mod tests {
 
     #[test]
     fn metric_names_parse_for_slo_targeting() {
-        let registry = PulseRegistry::with_stripes(2);
+        let registry = MetricsRegistry::with_stripes(2);
         let pulse = ServePulse::register(&registry, "spmv");
         pulse.admitted.inc();
         pulse.dispatch_latency_ns.record(1234.0);

@@ -32,9 +32,7 @@ use std::time::Duration;
 
 use serde::Serialize;
 
-/// Supervisor knobs. `ServeConfig::default()` enables supervision with
-/// these defaults; set `supervision: None` for the legacy
-/// continue-after-panic behavior.
+/// Supervisor knobs; `ServeConfig::default()` uses these defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
     /// Restarts (death or wedge replacements) each shard may consume

@@ -9,8 +9,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use nitro_core::{CodeVariant, Context, FnFeature, FnVariant, Priority, RequestMeta, TenantId};
 use nitro_guard::GuardPolicy;
 use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
-use nitro_pulse::{AlertKind, AlertSeverity, PulseAlert, PulseRegistry};
+use nitro_pulse::{AlertKind, AlertSeverity, PulseAlert};
 use nitro_serve::{Rejection, ServeClock, ServeConfig, ServeFront, ServeOutcome};
+use nitro_trace::MetricsRegistry;
 
 /// A gate a variant can block on, so tests can hold a worker mid-
 /// dispatch and deterministically pile work up behind it.
@@ -107,7 +108,7 @@ fn meta(clock: &ServeClock, tenant: u32, priority: Priority, budget_ns: u64) -> 
 #[test]
 fn wall_clock_requests_are_served_within_budget() {
     let runs = Arc::new(AtomicU64::new(0));
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let clock = ServeClock::wall();
     let front = ServeFront::start(
         test_config(),
@@ -152,7 +153,7 @@ fn wall_clock_requests_are_served_within_budget() {
 #[test]
 fn expired_at_the_door_is_rejected_before_costing_anything() {
     let runs = Arc::new(AtomicU64::new(0));
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let (clock, hand) = ServeClock::manual();
     let front = ServeFront::start(
         test_config(),
@@ -219,7 +220,7 @@ fn burst_exhaustion_throttles_the_tenant() {
 #[test]
 fn queue_watermarks_admit_by_priority() {
     let runs = Arc::new(AtomicU64::new(0));
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let gate = Gate::new();
     let (clock, _hand) = ServeClock::manual();
     let config = ServeConfig {
@@ -284,7 +285,7 @@ fn queue_watermarks_admit_by_priority() {
 #[test]
 fn deadline_shed_happens_before_dispatch_never_after() {
     let runs = Arc::new(AtomicU64::new(0));
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let gate = Gate::new();
     let (clock, hand) = ServeClock::manual();
     let config = ServeConfig {
@@ -344,7 +345,7 @@ fn deadline_shed_happens_before_dispatch_never_after() {
 #[test]
 fn hopeless_requests_are_shed_against_the_service_estimate() {
     let runs = Arc::new(AtomicU64::new(0));
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let gate = Gate::new();
     let (clock, hand) = ServeClock::manual();
     let front = ServeFront::start(
@@ -393,7 +394,7 @@ fn hopeless_requests_are_shed_against_the_service_estimate() {
 #[test]
 fn one_slow_dispatch_does_not_lock_the_shard_out() {
     let runs = Arc::new(AtomicU64::new(0));
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let gate = Gate::new();
     let (clock, hand) = ServeClock::manual();
     let front = ServeFront::start(
@@ -454,7 +455,7 @@ fn one_slow_dispatch_does_not_lock_the_shard_out() {
 #[test]
 fn hot_swap_mid_stream_changes_decisions_without_a_restart() {
     let runs = Arc::new(AtomicU64::new(0));
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let clock = ServeClock::wall();
     let front = ServeFront::start(
         test_config(),
@@ -516,7 +517,7 @@ fn hot_swap_mid_stream_changes_decisions_without_a_restart() {
 #[test]
 fn page_alerts_tighten_admission_and_relax_restores_it() {
     let runs = Arc::new(AtomicU64::new(0));
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let (clock, _hand) = ServeClock::manual();
     let config = ServeConfig {
         max_tighten: 2,

@@ -12,10 +12,10 @@ use std::time::Duration;
 
 use nitro_core::{CodeVariant, Context, FnFeature, FnVariant, Priority, RequestMeta, TenantId};
 use nitro_guard::GuardPolicy;
-use nitro_pulse::PulseRegistry;
 use nitro_serve::{
     Rejection, ServeClock, ServeConfig, ServeFront, ServeOutcome, ShardState, SupervisorConfig,
 };
+use nitro_trace::MetricsRegistry;
 
 /// A registration whose *feature evaluation* panics on negative input.
 /// The guard only catches variant-body panics, so a grenade input blows
@@ -42,7 +42,7 @@ fn supervised_config(shards: usize, sup: SupervisorConfig) -> ServeConfig {
         tenant_rate_per_s: 1_000_000.0,
         tenant_burst: 10_000,
         hopeless_shedding: false,
-        supervision: Some(sup),
+        supervision: sup,
         ..ServeConfig::default()
     }
 }
@@ -260,7 +260,7 @@ fn wedged_shard_is_fenced_and_replaced() {
         cv: Condvar::new(),
     });
 
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
     let (clock, hand) = ServeClock::manual();
     let sup = SupervisorConfig {
         heartbeat_stale_ns: 1_000,
@@ -328,45 +328,4 @@ fn wedged_shard_is_fenced_and_replaced() {
         "wedge replacement must be audited: {:?}",
         summary.diagnostics
     );
-}
-
-#[test]
-fn legacy_mode_fails_the_request_in_place_with_identity() {
-    let (clock, _hand) = ServeClock::manual();
-    let config = ServeConfig {
-        supervision: None,
-        ..supervised_config(1, SupervisorConfig::default())
-    };
-    let front = ServeFront::start(config, GuardPolicy::default(), clock.clone(), None, |_| {
-        grenade_cv(&Context::new(), "legacy")
-    })
-    .unwrap();
-
-    // Unsupervised: the worker absorbs the escaped panic, fails the
-    // request with its identity attached, and keeps serving.
-    let grenade = front.submit(-1.0, meta(&clock, 7)).unwrap();
-    let lineage = grenade.lineage();
-    match grenade.wait() {
-        ServeOutcome::Failed { error } => {
-            assert!(error.contains(&format!("lineage {lineage}")), "{error}");
-            assert!(error.contains("tenant 7"), "{error}");
-        }
-        other => panic!("expected an attributed failure, got {other:?}"),
-    }
-    let ok = front.submit(1.0, meta(&clock, 7)).unwrap();
-    assert!(matches!(ok.wait(), ServeOutcome::Served { .. }));
-
-    let summary = front.shutdown();
-    assert_eq!(summary.escaped_panics, 1);
-    assert_eq!(summary.workers_joined, 1);
-    assert_eq!(summary.workers_failed, 0);
-    assert_eq!(summary.shard_deaths, 0);
-    assert_eq!(summary.shard_restarts, 0);
-    assert!(
-        summary.accounting.is_conserved(),
-        "{:?}",
-        summary.accounting.violations()
-    );
-    assert_eq!(summary.panic_records.len(), 1);
-    assert_eq!(summary.panic_records[0].lineage, lineage);
 }

@@ -114,8 +114,9 @@ impl WarpTable {
 /// Cost-accounting context handed to the kernel body for each thread block.
 ///
 /// The warp primitives count segments, multiplicities and bank conflicts
-/// with a [`WarpTable`] instead of sorting each warp's addresses: a host
-/// fast path that must charge bit-identical simulated costs.
+/// with a `WarpTable` (a small open-addressed table) instead of sorting
+/// each warp's addresses: a host fast path that must charge
+/// bit-identical simulated costs.
 pub struct BlockCtx<'a> {
     cfg: &'a DeviceConfig,
     tex: &'a mut TexCache,

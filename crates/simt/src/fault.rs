@@ -1,7 +1,7 @@
 //! Seeded fault injection for the simulated device.
 //!
 //! A [`FaultPlan`] makes the simulator misbehave *reproducibly*: every
-//! launch draws its fate from a [`SplitMix64`](crate::SplitMix64) stream
+//! launch draws its fate from a [`SplitMix64`] stream
 //! keyed on `(plan seed, device seed, kernel name, launch index)`, so a
 //! given plan produces the same failures, slowdowns and corruptions on
 //! every run — chaos tests and the `chaos_report` bench binary assert on
@@ -22,8 +22,8 @@
 //!   energy (a silently-bad measurement); downstream layers treat a
 //!   non-finite objective as a failed variant execution.
 //!
-//! Plans install either per-device ([`Gpu::with_fault_plan`]
-//! (crate::Gpu::with_fault_plan)) or process-globally
+//! Plans install either per-device
+//! ([`Gpu::with_fault_plan`](crate::Gpu::with_fault_plan)) or process-globally
 //! ([`install_fault_plan`]), mirroring `nitro_trace::install_global` —
 //! the benchmark substrates construct their `Gpu`s internally, so a
 //! global slot is the only hook a harness has.

@@ -117,10 +117,10 @@ impl Gpu {
         };
         if fault == FaultOutcome::Fail {
             if let Some(tracer) = nitro_trace::global() {
-                tracer.metrics().inc("simt.fault.failures");
-                tracer
-                    .metrics()
-                    .inc(&format!("simt.fault.kernel.{kernel}.failures"));
+                let m = tracer.metrics();
+                m.counter("simt.fault.failures").inc();
+                m.counter(&format!("simt.fault.kernel.{kernel}.failures"))
+                    .inc();
             }
             // The body never runs: a failed launch leaves the caller's
             // data untouched, like a lost kernel on real hardware.
@@ -172,7 +172,7 @@ impl Gpu {
         match fault {
             FaultOutcome::Slow(_) => {
                 if let Some(tracer) = nitro_trace::global() {
-                    tracer.metrics().inc("simt.fault.slowdowns");
+                    tracer.metrics().counter("simt.fault.slowdowns").inc();
                 }
             }
             FaultOutcome::Corrupt => {
@@ -183,7 +183,7 @@ impl Gpu {
                 elapsed_ns = f64::NAN;
                 energy_nj = f64::NAN;
                 if let Some(tracer) = nitro_trace::global() {
-                    tracer.metrics().inc("simt.fault.corruptions");
+                    tracer.metrics().counter("simt.fault.corruptions").inc();
                 }
             }
             _ => {}
@@ -239,14 +239,11 @@ impl Gpu {
             ],
         );
         let m = tracer.metrics();
-        m.inc("simt.launches");
-        m.inc(&format!("simt.kernel.{}.launches", stats.kernel));
-        m.observe("simt.launch.elapsed_ns", stats.elapsed_ns);
-        m.observe_with(
-            "simt.launch.dram_bytes",
-            t.dram_bytes,
-            &[1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10],
-        );
+        m.counter("simt.launches").inc();
+        m.counter(&format!("simt.kernel.{}.launches", stats.kernel))
+            .inc();
+        m.sketch("simt.launch.elapsed_ns").record(stats.elapsed_ns);
+        m.sketch("simt.launch.dram_bytes").record(t.dram_bytes);
     }
 
     /// Place per-block times onto SMs; returns (busiest SM time, imbalance).
@@ -584,7 +581,7 @@ mod tests {
         assert_eq!(
             tracer
                 .metrics()
-                .counter("simt.kernel.traced_kernel_xyz.launches"),
+                .counter_value("simt.kernel.traced_kernel_xyz.launches"),
             Some(1)
         );
     }

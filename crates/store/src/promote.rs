@@ -25,8 +25,8 @@
 //! ```
 
 use nitro_core::{crc32, Diagnostic, ModelArtifact, NitroError, Result};
-use nitro_pulse::{PulseAlert, PulseRegistry, PulseSketch};
-use nitro_trace::RegretLedger;
+use nitro_pulse::PulseAlert;
+use nitro_trace::{MetricsRegistry, RegretLedger, Sketch};
 
 use crate::audit::{diag_rollback, diag_rollback_storm, diag_stale_candidate};
 use crate::store::ArtifactStore;
@@ -158,7 +158,7 @@ pub struct StagedPromotion {
     /// `(content crc, observation count at demotion)` of recent demotions.
     demoted: Vec<(u32, u64)>,
     tracer: Option<nitro_trace::Tracer>,
-    promotion_ns: Option<PulseSketch>,
+    promotion_ns: Option<Sketch>,
 }
 
 fn artifact_crc(artifact: &ModelArtifact) -> Result<u32> {
@@ -196,23 +196,24 @@ impl StagedPromotion {
     pub fn attach_tracer(&mut self, tracer: nitro_trace::Tracer) {
         let m = tracer.metrics();
         for suffix in ["stage", "promote", "demote", "rollback", "hold"] {
-            m.declare_counter(&format!("deploy.{}.{suffix}", self.function));
+            m.counter(&format!("deploy.{}.{suffix}", self.function));
         }
         self.tracer = Some(tracer);
     }
 
-    /// Register `store.<fn>.promotion_ns` in a pulse registry and time
+    /// Register `store.<fn>.promotion_ns` in a metrics registry and time
     /// every subsequent [`observe`](Self::observe) into it, so the
     /// promotion machinery's own overhead shows up in the same
     /// quantile-sketch telemetry as dispatch latency.
-    pub fn attach_pulse(&mut self, registry: &PulseRegistry) {
+    pub fn attach_pulse(&mut self, registry: &MetricsRegistry) {
         self.promotion_ns = Some(registry.sketch(&format!("store.{}.promotion_ns", self.function)));
     }
 
     fn note(&self, kind: &str, detail: &str) {
         if let Some(t) = &self.tracer {
             t.metrics()
-                .add(&format!("deploy.{}.{kind}", self.function), 1);
+                .counter(&format!("deploy.{}.{kind}", self.function))
+                .inc();
             t.instant(
                 &format!("deploy:{}", self.function),
                 "deploy",
@@ -748,9 +749,9 @@ mod tests {
             matches!(&evs[0], LifecycleEvent::Rejected { reason } if reason.contains("probation"))
         );
         let m = tracer.metrics();
-        assert_eq!(m.counter("deploy.toy.stage"), Some(1));
-        assert_eq!(m.counter("deploy.toy.promote"), Some(1));
-        assert_eq!(m.counter("deploy.toy.rollback"), Some(0));
+        assert_eq!(m.counter_value("deploy.toy.stage"), Some(1));
+        assert_eq!(m.counter_value("deploy.toy.promote"), Some(1));
+        assert_eq!(m.counter_value("deploy.toy.rollback"), Some(0));
     }
 
     #[test]
@@ -825,7 +826,7 @@ mod tests {
 
     #[test]
     fn attach_pulse_times_observations_into_a_sketch() {
-        let registry = nitro_pulse::PulseRegistry::with_stripes(2);
+        let registry = nitro_trace::MetricsRegistry::with_stripes(2);
         let mut sp = StagedPromotion::new(good("toy"), quick_policy());
         sp.attach_pulse(&registry);
         sp.stage_candidate(good("toy")).unwrap();

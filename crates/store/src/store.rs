@@ -204,7 +204,7 @@ impl ArtifactStore {
     pub fn attach_tracer(&mut self, tracer: nitro_trace::Tracer) {
         let m = tracer.metrics();
         for suffix in ["publish", "rollback", "gc", "corrupt"] {
-            m.declare_counter(&format!("store.{}.{suffix}", self.manifest.function));
+            m.counter(&format!("store.{}.{suffix}", self.manifest.function));
         }
         self.tracer = Some(tracer);
     }
@@ -212,7 +212,7 @@ impl ArtifactStore {
     fn note_event(&self, kind: &str, version: Option<u64>) {
         if let Some(t) = &self.tracer {
             let f = &self.manifest.function;
-            t.metrics().add(&format!("store.{f}.{kind}"), 1);
+            t.metrics().counter(&format!("store.{f}.{kind}")).inc();
             t.instant(
                 &format!("store:{f}"),
                 "store",
@@ -799,9 +799,9 @@ mod tests {
         store.publish(&artifact("toy", 1.0), "retrain").unwrap();
         store.rollback(1).unwrap();
         let m = tracer.metrics();
-        assert_eq!(m.counter("store.toy.publish"), Some(2));
-        assert_eq!(m.counter("store.toy.rollback"), Some(1));
-        assert_eq!(m.counter("store.toy.gc"), Some(0));
+        assert_eq!(m.counter_value("store.toy.publish"), Some(2));
+        assert_eq!(m.counter_value("store.toy.rollback"), Some(1));
+        assert_eq!(m.counter_value("store.toy.gc"), Some(0));
         std::fs::remove_dir_all(root).ok();
     }
 }

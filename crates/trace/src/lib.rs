@@ -14,10 +14,20 @@
 //!   thread-id assignment, a sink and a metrics registry behind one
 //!   cheaply-clonable handle. Spans close themselves on drop, so traces
 //!   stay well nested across early returns.
-//! * **Metrics** ([`MetricsRegistry`], [`MetricsSnapshot`]): named
-//!   counters, gauges and fixed-bucket histograms — win/veto/fallback
-//!   counts per variant, feature-extraction and prediction latency,
-//!   regret distributions — exported as sorted, serializable JSON.
+//! * **Metrics** ([`MetricsRegistry`], [`MetricsSnapshot`]): the one
+//!   metrics store of the stack. Named counters, gauges and quantile
+//!   sketches — win/veto/fallback counts per variant, guard events,
+//!   feature-extraction and prediction latency, regret distributions —
+//!   registered once and recorded through handles ([`Counter`],
+//!   [`Gauge`], [`Sketch`]) on per-thread striped atomics
+//!   ([`StripedU64`]), with no lock and no allocation. Snapshots export
+//!   as sorted, serializable JSON; sketches export as log-bucket
+//!   histograms.
+//! * **Quantile sketches** ([`QuantileSketch`], [`ConcurrentSketch`]):
+//!   DDSketch-style log-bucketed sketches with a configured
+//!   relative-error bound `α`. Merging adds bucket counts, so per-stripe
+//!   and per-shard sketches fuse into process-level quantiles with no
+//!   accuracy loss.
 //! * **Regret** ([`RegretLedger`]): chosen-cost minus oracle-cost
 //!   accounting with top-K worst-decision retention, for runs where a
 //!   profile table provides ground truth.
@@ -36,13 +46,17 @@ mod event;
 mod metrics;
 mod regret;
 mod sink;
+mod sketch;
+mod stripe;
 mod tracer;
 
 pub use chrome::{validate_chrome_trace, ChromeTraceStats};
 pub use event::{arg, val, Phase, TraceEvent};
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, DEFAULT_NS_BOUNDS};
+pub use metrics::{Counter, Gauge, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Sketch};
 pub use regret::{RegretEntry, RegretLedger};
 pub use sink::{chrome_trace_json, ChromeSink, JsonlSink, MultiSink, RingSink, TraceSink};
+pub use sketch::{ConcurrentSketch, QuantileSketch, SketchConfig};
+pub use stripe::{default_stripes, StripedU64};
 pub use tracer::{SpanGuard, Tracer};
 
 // Re-exported so instrumentation sites can build args without adding

@@ -5,8 +5,7 @@
 //! `(m·γ^(i−1), m·γ^i]` for base value `m` ([`SketchConfig::min_value`])
 //! and every bucket's midpoint estimate is within relative error `α` of
 //! any value in the bucket. Quantiles are therefore rank-exact and
-//! value-accurate to `α` — unlike the decade histograms in
-//! `nitro-trace`, a p99 read off a sketch is a real p99.
+//! value-accurate to `α`: a p99 read off a sketch is a real p99.
 //!
 //! Merging adds bucket counts elementwise, which is associative and
 //! commutative, so per-stripe / per-shard / per-thread sketches combine
@@ -16,6 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::metrics::HistogramSnapshot;
 use crate::stripe::{thread_ordinal, AtomicF64};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -301,12 +301,12 @@ impl QuantileSketch {
         self.zeros
     }
 
-    /// Export as a `nitro-trace` histogram snapshot so sketch-backed
-    /// metrics ride the existing `MetricsSnapshot` JSON schema. Only
+    /// Export as a [`HistogramSnapshot`], the histogram form of the
+    /// `MetricsSnapshot` JSON schema. Only
     /// non-empty buckets are emitted (sparse bounds stay valid because
     /// skipped buckets hold no observations); zeros fold into the first
     /// bucket and saturated observations land in the overflow slot.
-    pub fn to_histogram_snapshot(&self) -> nitro_trace::HistogramSnapshot {
+    pub fn to_histogram_snapshot(&self) -> HistogramSnapshot {
         let mut bounds = Vec::new();
         let mut counts = Vec::new();
         let gamma = self.config.gamma();
@@ -325,7 +325,7 @@ impl QuantileSketch {
             }
         }
         counts.push(self.saturated); // overflow bucket
-        nitro_trace::HistogramSnapshot {
+        HistogramSnapshot {
             bounds,
             counts,
             count: self.count,
@@ -566,13 +566,13 @@ mod tests {
         assert_eq!(h.counts.iter().sum::<u64>(), 4);
         assert_eq!(h.bounds.len() + 1, h.counts.len());
         assert!(h.bounds.windows(2).all(|w| w[0] < w[1]));
-        // Round-trips through the existing snapshot JSON schema.
-        let m = nitro_trace::MetricsSnapshot {
+        // Round-trips through the snapshot JSON schema.
+        let m = crate::MetricsSnapshot {
             counters: vec![],
             gauges: vec![],
             histograms: vec![("dispatch.spmv.latency_ns".into(), h)],
         };
-        let back = nitro_trace::MetricsSnapshot::from_json(&m.to_json()).unwrap();
+        let back = crate::MetricsSnapshot::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
     }
 

@@ -58,9 +58,10 @@ impl StripedU64 {
         }
     }
 
-    /// The calling thread's stripe cell.
+    /// The calling thread's stripe cell, for callers that act on the
+    /// stripe-local value (a per-stripe sampling tick, say).
     #[inline]
-    pub(crate) fn cell(&self) -> &AtomicU64 {
+    pub fn cell(&self) -> &AtomicU64 {
         // Length is a power of two by construction.
         let mask = self.cells.len() - 1;
         &self.cells[thread_ordinal() & mask].0

@@ -92,7 +92,8 @@ impl Tracer {
         }
     }
 
-    /// The tracer's metrics registry.
+    /// The tracer's metrics registry. Clone it to record into the
+    /// tracer's store from a component that keeps its own handles.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
     }
@@ -244,7 +245,7 @@ mod tests {
     fn metrics_snapshot_injects_the_drop_counter() {
         let ring = Arc::new(RingSink::new(2));
         let tracer = Tracer::new(ring);
-        tracer.metrics().inc("dispatch.toy.calls");
+        tracer.metrics().counter("dispatch.toy.calls").inc();
         for _ in 0..5 {
             tracer.instant("tick", "test", vec![]);
         }
@@ -304,8 +305,8 @@ mod tests {
         let ring = Arc::new(RingSink::new(8));
         let tracer = Tracer::new(ring.clone());
         let clone = tracer.clone();
-        clone.metrics().inc("calls");
-        assert_eq!(tracer.metrics().counter("calls"), Some(1));
+        clone.metrics().counter("calls").inc();
+        assert_eq!(tracer.metrics().counter_value("calls"), Some(1));
         clone.instant("e", "test", vec![]);
         assert_eq!(ring.len(), 1);
     }

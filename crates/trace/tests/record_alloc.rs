@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use nitro_pulse::PulseRegistry;
+use nitro_trace::MetricsRegistry;
 
 struct CountingAlloc;
 
@@ -62,7 +62,7 @@ fn allocations() -> u64 {
 /// allocation count.
 #[test]
 fn record_path_is_allocation_free() {
-    let registry = PulseRegistry::new();
+    let registry = MetricsRegistry::new();
 
     // Phase 1: single thread. Warm up (handle registration + this
     // thread's stripe ordinal), then measure.

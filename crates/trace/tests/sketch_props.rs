@@ -3,7 +3,7 @@
 //! sketching the concatenated stream) as well as commutative and
 //! associative.
 
-use nitro_pulse::{QuantileSketch, SketchConfig};
+use nitro_trace::{QuantileSketch, SketchConfig};
 use proptest::prelude::*;
 
 /// Arbitrary positive observations inside the sketch's accurate range

@@ -59,7 +59,7 @@ pub struct PhaseTiming {
 /// per phase so [`TuneReport::phase_timings`] is populated either way.
 pub(crate) struct Phases {
     tracer: Option<nitro_trace::Tracer>,
-    pulse: Option<nitro_pulse::PulseRegistry>,
+    pulse: Option<nitro_trace::MetricsRegistry>,
     function: String,
     timings: Vec<PhaseTiming>,
 }
@@ -67,7 +67,7 @@ pub(crate) struct Phases {
 impl Phases {
     pub(crate) fn new<I: ?Sized>(
         cv: &CodeVariant<I>,
-        pulse: Option<nitro_pulse::PulseRegistry>,
+        pulse: Option<nitro_trace::MetricsRegistry>,
     ) -> Self {
         Self {
             tracer: cv.context().tracer(),
@@ -104,7 +104,8 @@ impl Phases {
         if let Some(t) = &self.tracer {
             for p in &self.timings {
                 t.metrics()
-                    .set_gauge(&format!("tune.{}.{}_ns", self.function, p.phase), p.wall_ns);
+                    .gauge(&format!("tune.{}.{}_ns", self.function, p.phase))
+                    .set(p.wall_ns);
             }
         }
         if let Some(r) = &self.pulse {
@@ -135,11 +136,11 @@ pub struct Autotuner {
     pub max_incremental_iterations: usize,
     /// Persist the model through the context after tuning.
     pub save_model: bool,
-    /// Pulse registry receiving `tune.<fn>.<phase>_ns` gauges and the
+    /// Metrics registry receiving `tune.<fn>.<phase>_ns` gauges and the
     /// `tune.<fn>.phase_ns` duration sketch. Not serialized; attach
     /// with [`Autotuner::with_pulse`].
     #[serde(skip)]
-    pub pulse: Option<nitro_pulse::PulseRegistry>,
+    pub pulse: Option<nitro_trace::MetricsRegistry>,
 }
 
 impl Default for Autotuner {
@@ -206,10 +207,10 @@ impl Autotuner {
         Self::default()
     }
 
-    /// Publish phase timings into a pulse registry as well: per-phase
+    /// Publish phase timings into a metrics registry as well: per-phase
     /// `tune.<fn>.<phase>_ns` gauges plus the accumulating
     /// `tune.<fn>.phase_ns` sketch.
-    pub fn with_pulse(mut self, registry: &nitro_pulse::PulseRegistry) -> Self {
+    pub fn with_pulse(mut self, registry: &nitro_trace::MetricsRegistry) -> Self {
         self.pulse = Some(registry.clone());
         self
     }
@@ -278,7 +279,8 @@ impl Autotuner {
         });
         if let (Some(t), Some(stats)) = (cv.context().tracer(), &svm_train_stats) {
             t.metrics()
-                .set_gauge("ml.train.cache_hit_rate", stats.cache_hit_rate());
+                .gauge("ml.train.cache_hit_rate")
+                .set(stats.cache_hit_rate());
         }
         let cv_accuracy = grid_cv_accuracy(&model);
         cv.install_model(model);
@@ -786,7 +788,7 @@ mod tests {
 
     #[test]
     fn pulsed_tuning_publishes_phase_gauges_and_duration_sketch() {
-        let registry = nitro_pulse::PulseRegistry::with_stripes(2);
+        let registry = nitro_trace::MetricsRegistry::with_stripes(2);
         let ctx = Context::new();
         let mut cv = toy(&ctx);
         let report = Autotuner::new()
@@ -837,13 +839,13 @@ mod tests {
         assert_eq!(profile_events.len(), training_inputs().len());
         assert!(profile_events[0].args.iter().any(|(k, _)| k == "costs"));
         assert_eq!(
-            tracer.metrics().counter("profile.toy.inputs"),
+            tracer.metrics().counter_value("profile.toy.inputs"),
             Some(training_inputs().len() as u64)
         );
         for p in &report.phase_timings {
             let gauge = tracer
                 .metrics()
-                .gauge(&format!("tune.toy.{}_ns", p.phase))
+                .gauge_value(&format!("tune.toy.{}_ns", p.phase))
                 .unwrap_or_else(|| panic!("gauge for {}", p.phase));
             assert_eq!(gauge, p.wall_ns);
         }
@@ -851,7 +853,7 @@ mod tests {
         let stats = report.svm_train_stats.expect("svm fit reports stats");
         let hit_rate = tracer
             .metrics()
-            .gauge("ml.train.cache_hit_rate")
+            .gauge_value("ml.train.cache_hit_rate")
             .expect("hit-rate gauge");
         assert_eq!(hit_rate, stats.cache_hit_rate());
         assert!((0.0..=1.0).contains(&hit_rate));

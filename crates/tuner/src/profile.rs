@@ -111,7 +111,8 @@ impl ProfileTable {
             if failures > 0 {
                 tracer
                     .metrics()
-                    .add(&format!("profile.{}.failures", cv.name()), failures);
+                    .counter(&format!("profile.{}.failures", cv.name()))
+                    .add(failures);
             }
             // One instant per profiled input carrying the full ground
             // truth — vetoed variants show as null (∞ has no JSON form).
@@ -127,7 +128,8 @@ impl ProfileTable {
             );
             tracer
                 .metrics()
-                .inc(&format!("profile.{}.inputs", cv.name()));
+                .counter(&format!("profile.{}.inputs", cv.name()))
+                .inc();
         }
         (features, fcost, costs, allowed)
     }
@@ -334,7 +336,10 @@ mod tests {
         let tracer = nitro_trace::Tracer::new(std::sync::Arc::new(nitro_trace::RingSink::new(64)));
         cv.context().install_tracer(tracer.clone());
         ProfileTable::profile_one(&cv, &9.0);
-        assert_eq!(tracer.metrics().counter("profile.doomed.failures"), Some(2));
+        assert_eq!(
+            tracer.metrics().counter_value("profile.doomed.failures"),
+            Some(2)
+        );
         cv.context().clear_tracer();
     }
 

@@ -12,10 +12,11 @@
 //! * [`nitro_store`] — durability and model lifecycle: resumable tuning
 //!   journals, the versioned artifact store, staged promotion/rollback.
 //! * [`nitro_tuner`] — the offline autotuner.
-//! * [`nitro_trace`] — structured tracing, metrics and regret accounting.
-//! * [`nitro_pulse`] — concurrency-first telemetry: sharded lock-free
-//!   metrics, mergeable quantile sketches, continuous dispatch
-//!   profiling and SLO watchdogs.
+//! * [`nitro_trace`] — structured tracing, the metrics store (striped
+//!   lock-free counters, gauges and mergeable quantile sketches) and
+//!   regret accounting.
+//! * [`nitro_pulse`] — dispatch telemetry on that store: a dispatch
+//!   observer, continuous dispatch profiling and SLO watchdogs.
 //! * [`nitro_simt`] — the simulated GPU substrate.
 //! * Benchmarks: [`nitro_sparse`], [`nitro_solvers`], [`nitro_graph`],
 //!   [`nitro_histogram`], [`nitro_sort`].

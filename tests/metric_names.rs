@@ -18,12 +18,12 @@ use std::sync::Arc;
 
 use nitro::core::{ClassifierConfig, CodeVariant, Context};
 use nitro::guard::{inject_failures, GuardPolicy, GuardStats, GuardedVariant};
-use nitro::pulse::{FunctionPulse, PulseRegistry};
+use nitro::pulse::FunctionPulse;
 use nitro::simt::{
     install_fault_plan, silence_injected_panics, uninstall_fault_plan, DeviceConfig, FaultPlan,
 };
 use nitro::sort::keys::SortInput;
-use nitro::trace::{MetricsSnapshot, RingSink, Tracer};
+use nitro::trace::{MetricsRegistry, MetricsSnapshot, RingSink, Tracer};
 use nitro::tuner::Autotuner;
 
 /// What one exported snapshot must hold, names sorted.
@@ -175,7 +175,7 @@ fn guarded_faulty_run() -> (MetricsSnapshot, MetricsSnapshot, GuardStats) {
     let tracer = Tracer::new(Arc::new(RingSink::new(1 << 16)));
     ctx.install_tracer(tracer.clone());
     nitro::trace::install_global(tracer.clone());
-    let registry = PulseRegistry::with_stripes(2);
+    let registry = MetricsRegistry::with_stripes(2);
     FunctionPulse::install(&mut cv, &registry, None);
     let policy = GuardPolicy {
         retry_budget: 2,
