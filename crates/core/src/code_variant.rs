@@ -16,7 +16,7 @@ use crate::context::Context;
 use crate::error::{NitroError, Result};
 use crate::feature::{Constraint, InputFeature};
 use crate::model::ModelArtifact;
-use crate::observer::{DispatchObservation, DispatchObserver};
+use crate::observer::{DispatchObservation, DispatchObserver, DispatchRecord};
 use crate::policy::TuningPolicy;
 use crate::predicate::{ConstraintDescriptor, Predicate};
 use crate::variant::Variant;
@@ -29,6 +29,41 @@ fn sanitize(v: f64) -> f64 {
         v
     } else {
         0.0
+    }
+}
+
+/// Evaluate the policy's active features on `input`, zeroing non-finite
+/// values. The simulated cost is the sum of the feature costs, or the
+/// longest one when they are evaluated in parallel (paper §III-C). The
+/// one feature evaluation behind synchronous dispatch and the
+/// `fix_inputs` worker.
+#[inline]
+fn evaluate_active<I: ?Sized + Sync>(
+    features: &[Arc<dyn InputFeature<I>>],
+    policy: &TuningPolicy,
+    input: &I,
+) -> (Vec<f64>, f64) {
+    if policy.parallel_feature_evaluation {
+        let pairs: Vec<(f64, f64)> = policy
+            .active_features(features.len())
+            .par_iter()
+            .map(|&i| {
+                let f = &features[i];
+                (sanitize(f.evaluate(input)), f.cost_ns(input))
+            })
+            .collect();
+        let values = pairs.iter().map(|p| p.0).collect();
+        let cost = pairs.iter().map(|p| p.1).fold(0.0, f64::max);
+        (values, cost)
+    } else {
+        let mut values = Vec::with_capacity(features.len());
+        let mut cost = 0.0;
+        for i in policy.active_feature_indices(features.len()) {
+            let f = &features[i];
+            values.push(sanitize(f.evaluate(input)));
+            cost += f.cost_ns(input);
+        }
+        (values, cost)
     }
 }
 
@@ -436,33 +471,7 @@ impl<I: ?Sized> CodeVariant<I> {
     where
         I: Sync,
     {
-        // Borrow only the feature table: capturing `self` would demand
-        // `I: Send` because of the pending-async slot.
-        let features = &self.features;
-        if self.policy.parallel_feature_evaluation {
-            let active = self.policy.active_features(features.len());
-            let pairs: Vec<(f64, f64)> = active
-                .par_iter()
-                .map(|&i| {
-                    let f = &features[i];
-                    (sanitize(f.evaluate(input)), f.cost_ns(input))
-                })
-                .collect();
-            let values = pairs.iter().map(|p| p.0).collect();
-            // Parallel evaluation overlaps the features: the simulated
-            // cost is the longest one, not the sum (paper §III-C).
-            let cost = pairs.iter().map(|p| p.1).fold(0.0, f64::max);
-            (values, cost)
-        } else {
-            let mut values = Vec::with_capacity(features.len());
-            let mut cost = 0.0;
-            for i in self.policy.active_feature_indices(features.len()) {
-                let f = &self.features[i];
-                values.push(sanitize(f.evaluate(input)));
-                cost += f.cost_ns(input);
-            }
-            (values, cost)
-        }
+        evaluate_active(&self.features, &self.policy, input)
     }
 
     /// Per-feature simulated evaluation costs for an input, over the
@@ -534,6 +543,11 @@ impl<I: ?Sized> CodeVariant<I> {
                 })
             }
         }
+    }
+
+    /// A registered variant's name, or `None` if out of range.
+    pub fn variant_name(&self, index: usize) -> Option<&str> {
+        self.variants.get(index).map(|v| v.name())
     }
 
     /// Shared handle to a registered variant, or `None` if out of range.
@@ -641,7 +655,28 @@ impl<I: ?Sized> CodeVariant<I> {
         self.observer.as_ref()
     }
 
-    /// Shared dispatch tail for `call` and `call_fixed`.
+    /// Report one dispatch to the installed observer, if any, naming the
+    /// function and variants from this registration. Plain and guarded
+    /// dispatch both report through here. The path is lock-free and
+    /// allocation-free: the observation borrows dispatcher state.
+    pub fn observe_dispatch(&self, record: &DispatchRecord<'_>) {
+        let Some(obs) = &self.observer else {
+            return;
+        };
+        obs.on_dispatch(&DispatchObservation {
+            function: &self.name,
+            variant_name: self.variant_name(record.variant).unwrap_or_default(),
+            intended_name: self.variant_name(record.intended).unwrap_or_default(),
+            record: *record,
+        });
+    }
+
+    /// Shared dispatch tail for `call` and `call_fixed`: the paper's
+    /// one-step dispatch (§II-B). A vetoed prediction runs the default,
+    /// not the next-ranked variant, and the executed variant's objective
+    /// is returned as is, even a non-converging solver's `f64::INFINITY`.
+    /// `nitro-guard` differs on both by design: its cascade treats a
+    /// non-finite objective as a failure and walks the model's ranking.
     fn dispatch(
         &mut self,
         input: &I,
@@ -713,25 +748,17 @@ impl<I: ?Sized> CodeVariant<I> {
             self.stats.async_calls += 1;
         }
 
-        // The observer path is lock-free and allocation-free end to
-        // end: the observation borrows dispatcher state, and pulse-style
-        // observers record through striped atomics.
-        if let Some(obs) = &self.observer {
-            obs.on_dispatch(&DispatchObservation {
-                function: &self.name,
-                variant: chosen,
-                variant_name: self.variants[chosen].name(),
-                intended,
-                intended_name: self.variants[intended].name(),
-                fell_back,
-                objective_ns: objective,
-                feature_cost_ns,
-                predict_wall_ns,
-                kernel_evals,
-                features: &features,
-                via_async,
-            });
-        }
+        self.observe_dispatch(&DispatchRecord {
+            variant: chosen,
+            intended,
+            fell_back,
+            objective_ns: objective,
+            feature_cost_ns,
+            predict_wall_ns,
+            kernel_evals,
+            features: &features,
+            via_async,
+        });
 
         if let Some(t) = &tracer {
             let m = t.metrics();
@@ -789,33 +816,11 @@ impl<I: ?Sized + Send + Sync + 'static> CodeVariant<I> {
     /// are evaluated eagerly on this thread instead (same semantics,
     /// no concurrency).
     pub fn fix_inputs(&mut self, input: Arc<I>) {
-        let active = self.policy.active_features(self.features.len());
-        let feats: Vec<Arc<dyn InputFeature<I>>> = active
-            .iter()
-            .map(|&i| Arc::clone(&self.features[i]))
-            .collect();
-        let parallel = self.policy.parallel_feature_evaluation;
+        let features = self.features.clone();
+        let policy = self.policy.clone();
         let work = {
             let input = Arc::clone(&input);
-            move || -> (Vec<f64>, f64) {
-                if parallel {
-                    let pairs: Vec<(f64, f64)> = feats
-                        .par_iter()
-                        .map(|f| (f.evaluate(&input), f.cost_ns(&input)))
-                        .collect();
-                    let values = pairs.iter().map(|p| p.0).collect();
-                    let cost = pairs.iter().map(|p| p.1).fold(0.0, f64::max);
-                    (values, cost)
-                } else {
-                    let mut values = Vec::with_capacity(feats.len());
-                    let mut cost = 0.0;
-                    for f in &feats {
-                        values.push(f.evaluate(&input));
-                        cost += f.cost_ns(&input);
-                    }
-                    (values, cost)
-                }
-            }
+            move || evaluate_active(&features, &policy, &input)
         };
         let handle = if self.policy.async_feature_eval {
             std::thread::spawn(work)
@@ -1334,5 +1339,19 @@ mod sanitize_tests {
         cv.policy_mut().parallel_feature_evaluation = true;
         let (features, _) = cv.evaluate_features(&3.0);
         assert_eq!(features, vec![0.0, 0.0, 3.0]);
+
+        // And through `fix_inputs` / `call_fixed`, eager or asynchronous,
+        // serial or parallel.
+        for (async_eval, parallel) in [(false, false), (true, false), (false, true), (true, true)] {
+            cv.policy_mut().async_feature_eval = async_eval;
+            cv.policy_mut().parallel_feature_evaluation = parallel;
+            cv.fix_inputs(Arc::new(3.0));
+            let inv = cv.call_fixed().unwrap();
+            assert_eq!(
+                inv.features,
+                vec![0.0, 0.0, 3.0],
+                "async {async_eval}, parallel {parallel}"
+            );
+        }
     }
 }

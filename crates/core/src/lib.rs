@@ -64,7 +64,7 @@ pub use fsio::{
     FsPolicy, RetryPolicy,
 };
 pub use model::{ModelArtifact, MODEL_SCHEMA_VERSION};
-pub use observer::{DispatchObservation, DispatchObserver};
+pub use observer::{DispatchObservation, DispatchObserver, DispatchRecord};
 pub use policy::{StoppingCriterion, TuningPolicy};
 pub use predicate::{CmpOp, ConstraintDescriptor, Predicate};
 pub use request::{Deadline, Priority, RequestMeta, TenantId};

@@ -18,17 +18,30 @@
 pub struct DispatchObservation<'a> {
     /// The tuned function's name.
     pub function: &'a str,
-    /// Index of the variant that ran.
-    pub variant: usize,
     /// Name of the variant that ran.
     pub variant_name: &'a str,
-    /// Index of the variant the model (or default) selected before
-    /// constraint handling.
-    pub intended: usize,
     /// Name of the intended variant.
     pub intended_name: &'a str,
-    /// True when a constraint vetoed the intended variant and dispatch
-    /// fell back to the default.
+    /// The dispatch itself, by variant index.
+    pub record: DispatchRecord<'a>,
+}
+
+/// One dispatch by variant index, as plain or guarded dispatch records
+/// it; [`CodeVariant::observe_dispatch`] names it into a
+/// [`DispatchObservation`].
+///
+/// [`CodeVariant::observe_dispatch`]: crate::CodeVariant::observe_dispatch
+#[derive(Debug, Clone, Copy)]
+pub struct DispatchRecord<'a> {
+    /// Index of the variant that ran.
+    pub variant: usize,
+    /// Index of the variant dispatch meant to run: the model's (or the
+    /// default's) selection before constraint handling, or the head of
+    /// a guarded cascade.
+    pub intended: usize,
+    /// True when dispatch ran something other than the intended variant
+    /// (a constraint veto in plain dispatch, a fallback in a guarded
+    /// cascade).
     pub fell_back: bool,
     /// The executed variant's objective value (simulated nanoseconds
     /// for the SIMT-backed suites) — the latency signal SLO watchdogs
@@ -37,11 +50,12 @@ pub struct DispatchObservation<'a> {
     /// Feature-extraction cost charged to this call (simulated ns).
     pub feature_cost_ns: f64,
     /// Wall-clock nanoseconds the model prediction took (0 when no
-    /// model is installed).
+    /// model ran).
     pub predict_wall_ns: u64,
     /// Kernel evaluations the prediction performed.
     pub kernel_evals: u64,
-    /// The feature vector the selection used.
+    /// The feature vector the selection used (empty when none was
+    /// evaluated).
     pub features: &'a [f64],
     /// True when the call went through the async feature-evaluation
     /// path (`fix_inputs` / `call_fixed`).

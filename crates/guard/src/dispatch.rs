@@ -6,7 +6,8 @@
 //! 1. **Fallback cascade** — candidates are the model's full posterior
 //!    ranking (best first), constraint-vetoed entries dropped, the
 //!    default variant always appended last. In degraded mode the cascade
-//!    is just the default variant.
+//!    is just the default variant. A preferred head
+//!    ([`GuardedVariant::call_preferring`]) is tried before any planning.
 //! 2. **Quarantine** — each variant owns a [`CircuitBreaker`];
 //!    candidates whose breaker is Open are skipped. Breakers tick on
 //!    every guarded call, so quarantined variants are probed back in
@@ -43,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use nitro_audit::AuditedInstall;
-use nitro_core::{CodeVariant, ModelArtifact, NitroError, PredictScratch, Result};
+use nitro_core::{CodeVariant, DispatchRecord, ModelArtifact, NitroError, PredictScratch, Result};
 use nitro_trace::{Counter, MetricsRegistry};
 
 use crate::audit::audit_guard_policy;
@@ -658,32 +659,39 @@ impl<I: ?Sized> GuardedVariant<I> {
         (cascade, cost)
     }
 
-    /// The full resilient dispatch pipeline. Takes `&self`: every piece
-    /// of mutable guard state (breakers, health, counters) is atomic, so a
-    /// single guard behind an `Arc` serves all worker shards with no
-    /// lock anywhere on this path.
-    ///
-    /// Returns [`NitroError::NoHealthyVariant`] when the cascade is
-    /// exhausted (every candidate quarantined or out of attempts), and
-    /// [`NitroError::NoSelectionPossible`] when there is nothing to plan
-    /// (no model and no default).
+    /// The full resilient dispatch pipeline:
+    /// [`GuardedVariant::call_preferring`] with no preferred head.
     pub fn call(&self, input: &I) -> Result<GuardedInvocation>
     where
         I: Sync,
     {
-        let (features, feature_cost_ns) = self.cv.evaluate_features(input);
-        self.call_with_features(input, features, feature_cost_ns)
+        self.call_preferring(input, None, None)
     }
 
-    /// [`GuardedVariant::call`] for an input whose features the caller
-    /// has already evaluated with [`CodeVariant::evaluate_features`]
-    /// (for a regime-cache lookup, say), so they are not evaluated twice.
-    pub fn call_with_features(
+    /// The one guarded dispatch loop, with an optional preferred `head`
+    /// (a serve tier's cached or default variant) and the input's
+    /// `features` if the caller already evaluated them. The head is
+    /// skipped while quarantined and, unless it is the default (the
+    /// terminal), when a constraint vetoes it; it runs with the retry
+    /// budget and breaker feedback of any candidate. Only if it is
+    /// skipped or fails is the model cascade planned without it (and
+    /// missing features evaluated). Every call ticks the breakers,
+    /// counts its events, emits its span and reports to the dispatch
+    /// observer once. All guard state is atomic, so one guard behind an
+    /// `Arc` serves every worker shard with no lock on this path.
+    ///
+    /// Errors: [`NitroError::NoHealthyVariant`] when every candidate is
+    /// quarantined or out of attempts, [`NitroError::NoSelectionPossible`]
+    /// when there is nothing to plan (no model and no default).
+    pub fn call_preferring(
         &self,
         input: &I,
-        features: Vec<f64>,
-        feature_cost_ns: f64,
-    ) -> Result<GuardedInvocation> {
+        head: Option<usize>,
+        features: Option<(Vec<f64>, f64)>,
+    ) -> Result<GuardedInvocation>
+    where
+        I: Sync,
+    {
         if self.cv.n_variants() == 0 {
             return Err(NitroError::NoVariants);
         }
@@ -693,122 +701,69 @@ impl<I: ?Sized> GuardedVariant<I> {
         for b in &shared.breakers {
             b.tick();
         }
-
-        let tracer = self.cv.context().tracer();
-        let name = self.cv.name();
-        let observer = self.cv.dispatch_observer();
-        let (cascade, model_cost) = self.plan(&features, input, observer.is_some());
         let degraded = shared.health.is_degraded();
-
-        let mut span = tracer.as_ref().map(|t| {
-            t.span(
-                &format!("guard:{name}"),
-                "guard",
-                vec![
-                    nitro_trace::arg("cascade", &cascade),
-                    nitro_trace::arg("degraded", &degraded),
-                ],
-            )
-        });
-
         m.calls.inc();
         if degraded {
             m.degraded.inc();
+        }
+
+        let name = self.cv.name();
+        let mut run = Attempts {
+            tracer: self.cv.context().tracer(),
+            attempts: 0,
+            retries: 0,
+            backoff_ns: 0.0,
+            last_failure: None,
+        };
+        let mut span = run.tracer.as_ref().map(|t| {
+            t.span(
+                &format!("guard:{name}"),
+                "guard",
+                vec![nitro_trace::arg("degraded", &degraded)],
+            )
+        });
+
+        let default = self.cv.default_variant();
+        let head = head.filter(|&h| {
+            h < self.cv.n_variants()
+                && (Some(h) == default || self.cv.constraints_satisfied(h, input))
+        });
+        let mut served = head.and_then(|h| self.attempt(h, input, &mut run).map(|o| (h, o)));
+        let (features, feature_cost_ns) = match (&served, features) {
+            (_, Some(given)) => given,
+            (Some(_), None) => (Vec::new(), 0.0),
+            (None, None) => self.cv.evaluate_features(input),
+        };
+        let (cascade, model_cost) = if served.is_some() {
+            (head.into_iter().collect(), ModelCost::default())
+        } else {
+            let observed = self.cv.dispatch_observer().is_some();
+            let (mut cascade, cost) = self.plan(&features, input, observed);
+            // The head leads the cascade it was tried from; the rest
+            // follow in plan order.
+            if let Some(h) = head {
+                cascade.retain(|&v| v != h);
+                cascade.insert(0, h);
+            }
+            served = cascade
+                .iter()
+                .skip(usize::from(head.is_some()))
+                .find_map(|&v| self.attempt(v, input, &mut run).map(|o| (v, o)));
+            (cascade, cost)
+        };
+        if let Some(s) = span.as_mut() {
+            s.end_arg("cascade", nitro_trace::val(&cascade));
+            s.end_arg("attempts", nitro_trace::val(&run.attempts));
         }
         if cascade.is_empty() {
             return Err(NitroError::NoSelectionPossible);
         }
 
-        let mut attempts = 0u32;
-        let mut retries = 0u32;
-        let mut backoff_ns = 0.0f64;
-        let mut last_failure: Option<NitroError> = None;
-        let mut served = None;
-
-        'cascade: for &candidate in &cascade {
-            // Late-registered variants beyond the shared bank dispatch
-            // without quarantine tracking (see `sync_breakers`).
-            let breaker = shared.breakers.get(candidate);
-            if breaker.is_some_and(|b| !b.is_available()) {
-                continue;
-            }
-            let max_attempts = 1 + self.policy.retry_budget;
-            for attempt in 0..max_attempts {
-                if attempt > 0 {
-                    retries += 1;
-                    m.retry.inc();
-                    let seq = self.retry_seq.fetch_add(1, Ordering::Relaxed);
-                    let pause = self.backoff_pause_ns(candidate, attempt, seq);
-                    backoff_ns += pause;
-                    m.add_backoff(pause);
-                }
-                attempts += 1;
-                match self.cv.try_run_variant(candidate, input) {
-                    Ok(objective) => {
-                        if breaker.and_then(|b| b.on_success()) == Some(Transition::Recovered) {
-                            m.recovered.inc();
-                            if let Some(t) = &tracer {
-                                t.instant(
-                                    &format!("guard:{name}"),
-                                    "guard",
-                                    vec![
-                                        nitro_trace::arg("event", &"recovered"),
-                                        nitro_trace::arg("variant", &candidate),
-                                    ],
-                                );
-                            }
-                        }
-                        served = Some((candidate, objective));
-                        break 'cascade;
-                    }
-                    Err(e) => {
-                        m.failure.inc();
-                        let tripped = breaker.and_then(|b| b.on_failure());
-                        last_failure = Some(match e {
-                            NitroError::VariantFailed {
-                                variant,
-                                name,
-                                detail,
-                                ..
-                            } => NitroError::VariantFailed {
-                                variant,
-                                name,
-                                attempts: attempt + 1,
-                                detail,
-                            },
-                            other => other,
-                        });
-                        if let Some(transition) = tripped {
-                            m.quarantine.inc();
-                            if let Some(t) = &tracer {
-                                t.instant(
-                                    &format!("guard:{name}"),
-                                    "guard",
-                                    vec![
-                                        nitro_trace::arg("event", &"quarantine"),
-                                        nitro_trace::arg("variant", &candidate),
-                                        nitro_trace::arg(
-                                            "reopened",
-                                            &(transition == Transition::Reopened),
-                                        ),
-                                    ],
-                                );
-                            }
-                            // The breaker just opened: stop burning the
-                            // retry budget on a quarantined variant.
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
         let Some((candidate, objective)) = served else {
             if let Some(s) = span.as_mut() {
                 s.end_arg("exhausted", nitro_trace::val(&true));
-                s.end_arg("attempts", nitro_trace::val(&attempts));
             }
-            let detail = match last_failure {
+            let detail = match run.last_failure {
                 Some(e) => format!("cascade {cascade:?} exhausted; last failure: {e}"),
                 None => format!("cascade {cascade:?} entirely quarantined"),
             };
@@ -824,45 +779,109 @@ impl<I: ?Sized> GuardedVariant<I> {
         }
         if let Some(s) = span.as_mut() {
             s.end_arg("chosen", nitro_trace::val(&candidate));
-            s.end_arg("attempts", nitro_trace::val(&attempts));
             s.end_arg("objective", nitro_trace::val(&objective));
         }
-        let chosen_v = self.cv.variant(candidate);
-        // Guarded calls bypass CodeVariant::dispatch, so fire its
-        // observer hook here: telemetry layers see guarded and unguarded
-        // dispatches alike.
-        if let Some(obs) = observer {
-            let intended = cascade[0];
-            let intended_v = self.cv.variant(intended);
-            obs.on_dispatch(&nitro_core::DispatchObservation {
-                function: name,
-                variant: candidate,
-                variant_name: chosen_v.as_deref().map(|v| v.name()).unwrap_or_default(),
-                intended,
-                intended_name: intended_v.as_deref().map(|v| v.name()).unwrap_or_default(),
-                fell_back,
-                objective_ns: objective,
-                feature_cost_ns,
-                predict_wall_ns: model_cost.predict_wall_ns,
-                kernel_evals: model_cost.kernel_evals,
-                features: &features,
-                via_async: false,
-            });
-        }
+        self.cv.observe_dispatch(&DispatchRecord {
+            variant: candidate,
+            intended: cascade[0],
+            fell_back,
+            objective_ns: objective,
+            feature_cost_ns,
+            predict_wall_ns: model_cost.predict_wall_ns,
+            kernel_evals: model_cost.kernel_evals,
+            features: &features,
+            via_async: false,
+        });
         Ok(GuardedInvocation {
             variant: candidate,
-            variant_name: chosen_v.map(|v| v.name().to_string()).unwrap_or_default(),
+            variant_name: self.cv.variant_name(candidate).unwrap_or_default().into(),
             objective,
             features,
             feature_cost_ns,
-            attempts,
-            retries,
-            backoff_ns,
+            attempts: run.attempts,
+            retries: run.retries,
+            backoff_ns: run.backoff_ns,
             cascade,
             fell_back,
             degraded,
         })
     }
+
+    /// Run one candidate with failure isolation, retrying within the
+    /// policy's budget and feeding each outcome to its breaker. Returns
+    /// its objective, or `None` when it is quarantined or every attempt
+    /// failed.
+    fn attempt(&self, candidate: usize, input: &I, run: &mut Attempts) -> Option<f64> {
+        let m = &self.shared.metrics;
+        // Late-registered variants beyond the shared bank dispatch
+        // without quarantine tracking (see `sync_breakers`).
+        let breaker = self.shared.breakers.get(candidate);
+        if breaker.is_some_and(|b| !b.is_available()) {
+            return None;
+        }
+        for attempt in 0..=self.policy.retry_budget {
+            if attempt > 0 {
+                run.retries += 1;
+                m.retry.inc();
+                let seq = self.retry_seq.fetch_add(1, Ordering::Relaxed);
+                let pause = self.backoff_pause_ns(candidate, attempt, seq);
+                run.backoff_ns += pause;
+                m.add_backoff(pause);
+            }
+            run.attempts += 1;
+            match self.cv.try_run_variant(candidate, input) {
+                Ok(objective) => {
+                    if breaker.and_then(|b| b.on_success()) == Some(Transition::Recovered) {
+                        m.recovered.inc();
+                        self.instant(run, "recovered", candidate, None);
+                    }
+                    return Some(objective);
+                }
+                Err(e) => {
+                    m.failure.inc();
+                    let mut e = e;
+                    if let NitroError::VariantFailed { attempts, .. } = &mut e {
+                        *attempts = attempt + 1;
+                    }
+                    run.last_failure = Some(e);
+                    if let Some(transition) = breaker.and_then(|b| b.on_failure()) {
+                        m.quarantine.inc();
+                        self.instant(
+                            run,
+                            "quarantine",
+                            candidate,
+                            Some(transition == Transition::Reopened),
+                        );
+                        // The breaker just opened: stop burning the
+                        // retry budget on a quarantined variant.
+                        return None;
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// A `guard:<fn>` instant for a breaker transition, when traced.
+    fn instant(&self, run: &Attempts, event: &str, variant: usize, reopened: Option<bool>) {
+        if let Some(t) = &run.tracer {
+            let mut args = vec![
+                nitro_trace::arg("event", &event),
+                nitro_trace::arg("variant", &variant),
+            ];
+            args.extend(reopened.map(|r| nitro_trace::arg("reopened", &r)));
+            t.instant(&format!("guard:{}", self.cv.name()), "guard", args);
+        }
+    }
+}
+
+/// What one guarded call has spent so far across its candidates.
+struct Attempts {
+    tracer: Option<nitro_trace::Tracer>,
+    attempts: u32,
+    retries: u32,
+    backoff_ns: f64,
+    last_failure: Option<NitroError>,
 }
 
 #[cfg(test)]
@@ -943,9 +962,9 @@ mod tests {
         fn on_dispatch(&self, o: &nitro_core::DispatchObservation<'_>) {
             self.calls.fetch_add(1, Ordering::Relaxed);
             self.kernel_evals
-                .fetch_add(o.kernel_evals, Ordering::Relaxed);
+                .fetch_add(o.record.kernel_evals, Ordering::Relaxed);
             self.timed
-                .fetch_add(u64::from(o.predict_wall_ns > 0), Ordering::Relaxed);
+                .fetch_add(u64::from(o.record.predict_wall_ns > 0), Ordering::Relaxed);
         }
     }
 
@@ -1244,6 +1263,47 @@ mod tests {
         let (features, _) = guard.inner().evaluate_features(&9.0);
         assert_eq!(guard.plan_cascade(&features, &9.0), vec![0]);
         assert_eq!(guard.call(&9.0).unwrap().variant, 0);
+    }
+
+    #[test]
+    fn vetoed_prediction_runs_the_next_ranked_variant_not_the_default() {
+        // Three variants; kNN (k = 3) at 9.4 votes large, large, mid, so
+        // the ranking is [large, mid, small] and the default comes last.
+        // `large` is vetoed above 9.
+        let build = |ctx: &Context| {
+            let mut cv = toy(ctx);
+            cv.add_variant(FnVariant::new("mid", |&x: &f64| 5.0 + x));
+            cv.add_constraint(
+                1,
+                nitro_core::FnConstraint::new("x <= 9", |&x: &f64| x <= 9.0),
+            )
+            .unwrap();
+            let data = Dataset::from_parts(
+                [0.0, 1.0, 8.0, 9.0, 10.0]
+                    .iter()
+                    .map(|&x| vec![x])
+                    .collect(),
+                vec![0, 0, 2, 1, 1],
+            );
+            cv.install_model(TrainedModel::train(&ClassifierConfig::Knn { k: 3 }, &data));
+            cv
+        };
+        let ctx = Context::new();
+        let mut plain = build(&ctx);
+        let (features, _) = plain.evaluate_features(&9.4);
+        assert_eq!(plain.select(&features), Some(1), "the model predicts large");
+
+        // Plain dispatch is the paper's one step: the veto runs the default.
+        let inv = plain.call(&9.4).unwrap();
+        assert_eq!(inv.variant_name, "small");
+        assert!(inv.fell_back_to_default);
+
+        // The guard walks its cascade to the next-ranked allowed variant.
+        let guard = GuardedVariant::new(build(&ctx), quick_policy()).unwrap();
+        assert_eq!(guard.plan_cascade(&features, &9.4), vec![2, 0]);
+        let inv = guard.call(&9.4).unwrap();
+        assert_eq!(inv.variant_name, "mid");
+        assert!(!inv.fell_back);
     }
 
     #[test]

@@ -105,7 +105,8 @@ impl FunctionPulse {
 
 impl DispatchObserver for FunctionPulse {
     #[inline]
-    fn on_dispatch(&self, o: &DispatchObservation<'_>) {
+    fn on_dispatch(&self, observation: &DispatchObservation<'_>) {
+        let o = &observation.record;
         self.calls.inc();
         if o.via_async {
             self.async_calls.inc();
@@ -130,8 +131,8 @@ impl DispatchObserver for FunctionPulse {
         if let Some(p) = &self.profiler {
             if p.should_sample() {
                 p.record_sample(
-                    o.function,
-                    o.variant_name,
+                    observation.function,
+                    observation.variant_name,
                     feature_regime(o.features),
                     o.objective_ns,
                 );

@@ -515,6 +515,85 @@ fn hot_swap_mid_stream_changes_decisions_without_a_restart() {
 }
 
 #[test]
+fn every_tier_counts_one_guarded_call_per_dispatched_request() {
+    let runs = Arc::new(AtomicU64::new(0));
+    let registry = MetricsRegistry::new();
+    let tracer = nitro_trace::Tracer::new(Arc::new(nitro_trace::RingSink::new(4_096)));
+    let gate = Gate::new();
+    let (clock, _hand) = ServeClock::manual();
+    // A 20-slot queue degrades at depth 10 (cached) and 16 (default).
+    let config = ServeConfig {
+        queue_capacity: Some(20),
+        ..test_config()
+    };
+    // The model picks `small` below zero (where it parks on the gate)
+    // and `large` elsewhere.
+    let model = {
+        let data = Dataset::from_parts(
+            [-2.0, -1.0, 1.0, 2.0, 3.0]
+                .iter()
+                .map(|&x| vec![x])
+                .collect(),
+            vec![0, 0, 1, 1, 1],
+        );
+        TrainedModel::train(&ClassifierConfig::Knn { k: 1 }, &data)
+    };
+    let front = ServeFront::start(
+        config,
+        GuardPolicy::default(),
+        clock.clone(),
+        Some(&registry),
+        {
+            let (runs, gate, tracer) = (runs.clone(), gate.clone(), tracer.clone());
+            move |_| {
+                let ctx = Context::new();
+                ctx.install_tracer(tracer.clone());
+                let mut cv = toy_cv(&ctx, runs.clone(), Some(gate.clone()));
+                cv.install_model(model.clone());
+                cv
+            }
+        },
+    )
+    .unwrap();
+
+    let blocker = front
+        .submit(-1.0, meta(&clock, 1, Priority::Interactive, u64::MAX / 2))
+        .unwrap();
+    gate.wait_entered();
+    // 19 queued requests: dequeued at depths 18 down to 0, so three run
+    // at DefaultOnly, six at CachedRegime and ten at Full.
+    let tickets: Vec<_> = (1..20)
+        .map(|i| {
+            front
+                .submit(
+                    f64::from(i),
+                    meta(&clock, 2, Priority::Interactive, u64::MAX / 2),
+                )
+                .unwrap()
+        })
+        .collect();
+    gate.release();
+    let (mut served, mut failed) = (0u64, 0u64);
+    for ticket in std::iter::once(blocker).chain(tickets) {
+        match ticket.wait() {
+            ServeOutcome::Served { .. } => served += 1,
+            ServeOutcome::Failed { .. } => failed += 1,
+            other => panic!("expected a dispatch, got {other:?}"),
+        }
+    }
+    front.shutdown();
+
+    assert_eq!(registry.counter_value("serve.toy.degrade_default"), Some(3));
+    assert_eq!(registry.counter_value("serve.toy.degrade_cached"), Some(6));
+    assert_eq!(served + failed, 20);
+    assert_eq!(
+        tracer.metrics().counter_value("guard.toy.calls"),
+        Some(served + failed),
+        "each dispatched request is exactly one guarded call"
+    );
+}
+
+#[test]
 fn page_alerts_tighten_admission_and_relax_restores_it() {
     let runs = Arc::new(AtomicU64::new(0));
     let registry = MetricsRegistry::new();
