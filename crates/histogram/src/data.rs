@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal, Zipf};
+use rayon::prelude::*;
 
 /// Bin count used by all variants (CUB commonly benchmarks 256-bin
 /// histograms; 256 keeps shared-memory histograms realistic).
@@ -127,7 +128,9 @@ pub fn generate(family: &str, n: usize, seed: u64, name: &str) -> HistInput {
         // wildly across blocks (the even-share vs dynamic contrast).
         "sorted_uniform" => {
             let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            // Finite keys in [+0, 1): keys that compare equal are
+            // bit-equal, so an unstable sort yields the stable result.
+            v.sort_unstable_by(f64::total_cmp);
             v
         }
         other => panic!("unknown histogram family '{other}'"),
@@ -170,6 +173,10 @@ pub fn hist_small_sets(seed: u64) -> (Vec<HistInput>, Vec<HistInput>) {
     )
 }
 
+/// Build `count` instances, the families in rotation. Each instance
+/// seeds its own generator from its index, so the set is an
+/// order-preserving parallel map over the indices and comes out
+/// bit-identical for any worker count.
 fn build_set(
     tag: &str,
     count: usize,
@@ -177,8 +184,10 @@ fn build_set(
     seed: u64,
     sizes: std::ops::Range<usize>,
 ) -> Vec<HistInput> {
-    (0..count)
-        .map(|i| {
+    let indices: Vec<usize> = (0..count).collect();
+    indices
+        .par_iter()
+        .map(|&i| {
             let family = FAMILIES[i % FAMILIES.len()];
             let mut rng = StdRng::seed_from_u64(seed ^ ((idx_base + i) as u64) << 8);
             let n = rng.random_range(sizes.clone());

@@ -138,14 +138,16 @@ pub fn generate(category: &str, n: usize, wide: bool, seed: u64, name: &str) -> 
     let mut rng = StdRng::seed_from_u64(seed);
     let raw: Vec<f64> = match category {
         "uniform" => (0..n).map(|_| rng.random::<f64>() * 1e6).collect(),
+        // The keys are finite and never below +0, so keys that compare
+        // equal are bit-equal: an unstable sort yields the stable result.
         "reverse" => {
             let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 1e6).collect();
-            v.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            v.sort_unstable_by(|a, b| b.total_cmp(a));
             v
         }
         "almost_sorted" => {
             let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 1e6).collect();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            v.sort_unstable_by(f64::total_cmp);
             // Swap 20–25% of the keys (paper's recipe). Swap partners are
             // drawn from a bounded neighbourhood: "almost sorted" data in
             // practice (incremental updates, timestamps, resorted feeds)
