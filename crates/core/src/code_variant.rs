@@ -580,6 +580,17 @@ impl<I: ?Sized> CodeVariant<I> {
         self.model.as_ref().map(|m| m.predict(features))
     }
 
+    /// [`CodeVariant::select`] into caller scratch
+    /// ([`TrainedModel::predict_into`]): the vote winner, with a
+    /// posterior coupled only to break a vote tie. `None` without a
+    /// model. The `nitro-guard` dispatch loop tries this winner first and
+    /// ranks the rest only when it is skipped or fails.
+    pub fn predict_into(&self, features: &[f64], scratch: &mut PredictScratch) -> Option<usize> {
+        self.model
+            .as_ref()
+            .map(|m| m.predict_into(features, scratch))
+    }
+
     /// Model prediction and ranking for a feature vector from one model
     /// evaluation ([`TrainedModel::predict_rank_into`]): returns what
     /// [`CodeVariant::select`] returns and writes every class into
@@ -1194,11 +1205,13 @@ mod tests {
         assert!(cv
             .predict_rank_into(&[1.0], &mut scratch, &mut order)
             .is_none());
+        assert!(cv.predict_into(&[1.0], &mut scratch).is_none());
         cv.install_model(toy_model());
         for x in [1.0, 9.0] {
             let (features, _) = cv.evaluate_features(&x);
             let predicted = cv.predict_rank_into(&features, &mut scratch, &mut order);
             assert_eq!(predicted, cv.select(&features));
+            assert_eq!(cv.predict_into(&features, &mut scratch), predicted);
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1]);

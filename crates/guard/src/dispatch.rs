@@ -3,11 +3,13 @@
 //! [`GuardedVariant`] wraps a [`CodeVariant`] and replaces its
 //! single-step veto fallback with a full recovery pipeline:
 //!
-//! 1. **Fallback cascade** — candidates are the model's full posterior
-//!    ranking (best first), constraint-vetoed entries dropped, the
-//!    default variant always appended last. In degraded mode the cascade
-//!    is just the default variant. A preferred head
-//!    ([`GuardedVariant::call_preferring`]) is tried before any planning.
+//! 1. **Fallback cascade** — the head is tried first: a caller's
+//!    preferred variant ([`GuardedVariant::call_preferring`]) or else the
+//!    model's vote winner, which needs no posterior. Only when the head
+//!    is vetoed, quarantined or out of attempts is the cascade planned:
+//!    the model's full posterior ranking (best first), constraint-vetoed
+//!    entries dropped, the default variant always appended last. In
+//!    degraded mode the cascade is just the default variant.
 //! 2. **Quarantine** — each variant owns a [`CircuitBreaker`];
 //!    candidates whose breaker is Open are skipped. Breakers tick on
 //!    every guarded call, so quarantined variants are probed back in
@@ -58,12 +60,20 @@ thread_local! {
     static PREDICT_SCRATCH: RefCell<PredictScratch> = RefCell::default();
 }
 
-/// What one model evaluation cost, for the dispatch observer.
+/// What the model evaluations of one call cost, for the dispatch
+/// observer.
 #[derive(Debug, Clone, Copy, Default)]
 struct ModelCost {
     kernel_evals: u64,
     /// Zero unless an observer asked for the clock to be read.
     predict_wall_ns: u64,
+}
+
+impl ModelCost {
+    fn add(&mut self, other: ModelCost) {
+        self.kernel_evals += other.kernel_evals;
+        self.predict_wall_ns += other.predict_wall_ns;
+    }
 }
 
 /// Whether the guard is serving model-driven or degraded traffic.
@@ -128,6 +138,10 @@ pub struct GuardedInvocation {
     /// Simulated backoff charged to this call (ns).
     pub backoff_ns: f64,
     /// The candidate order this call considered (before breaker skips).
+    /// When the head (the model's vote winner, or the caller's preferred
+    /// variant) serves, this is just `[head]`: the ranked cascade is
+    /// planned only when the head is skipped or fails, and is then the
+    /// full planned order with the head first.
     pub cascade: Vec<usize>,
     /// True when the executed variant was not the cascade's head.
     pub fell_back: bool,
@@ -384,7 +398,10 @@ impl<I: ?Sized> GuardedVariant<I> {
     /// `(jitter_seed, salt, candidate, attempt, seq)`. With jitter 0
     /// (the default) this is exactly the bare exponential schedule.
     fn backoff_pause_ns(&self, candidate: usize, attempt: u32, seq: u64) -> f64 {
-        let base = self.policy.backoff_base_ns * f64::from(1u32 << (attempt - 1));
+        // Doubled in f64, exact up to 2^1023: an integer shift would
+        // overflow from the 33rd attempt on.
+        let doublings = i32::try_from(attempt - 1).unwrap_or(i32::MAX);
+        let base = self.policy.backoff_base_ns * 2f64.powi(doublings);
         let jitter = if self.policy.backoff_jitter.is_finite() {
             self.policy.backoff_jitter.clamp(0.0, 1.0)
         } else {
@@ -600,38 +617,48 @@ impl<I: ?Sized> GuardedVariant<I> {
         self.plan(features, input, false).0
     }
 
-    /// [`GuardedVariant::plan_cascade`], plus what the model evaluation
-    /// cost: its kernel evaluations always, its wall time when `timed`.
-    /// The model is evaluated once: the prediction and the ranking come
-    /// from one decision pass.
-    fn plan(&self, features: &[f64], input: &I, timed: bool) -> (Vec<usize>, ModelCost) {
+    /// Run one model evaluation on this thread's scratch and report what
+    /// it cost: its kernel evaluations always, its wall time when `timed`.
+    fn evaluate_model<T>(
+        &self,
+        timed: bool,
+        eval: impl FnOnce(&mut PredictScratch) -> T,
+    ) -> (T, ModelCost) {
         let mut cost = ModelCost::default();
-        let n = self.cv.n_variants();
-        if n == 0 {
-            return (Vec::new(), cost);
-        }
-        let default = self.cv.default_variant().filter(|&d| d < n);
-        if self.shared.health.is_degraded() {
-            return (default.into_iter().collect(), cost);
-        }
-        // The ranking is written straight into the cascade, then
-        // reordered and filtered in place.
-        let mut cascade = Vec::with_capacity(n + 1);
         let start = timed.then(Instant::now);
         // Borrow the scratch across the model evaluation only: the
         // constraint and variant code that runs later may make a guarded
         // call of its own on this thread.
-        let predicted = PREDICT_SCRATCH.with(|cell| {
+        let out = PREDICT_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            let predicted = self
-                .cv
-                .predict_rank_into(features, &mut scratch, &mut cascade);
+            let out = eval(&mut scratch);
             cost.kernel_evals = scratch.take_kernel_evals();
-            predicted
+            out
         });
         if let Some(start) = start {
             cost.predict_wall_ns = start.elapsed().as_nanos() as u64;
         }
+        (out, cost)
+    }
+
+    /// [`GuardedVariant::plan_cascade`], plus what the model evaluation
+    /// cost. The model is evaluated once: the prediction and the ranking
+    /// come from one decision pass.
+    fn plan(&self, features: &[f64], input: &I, timed: bool) -> (Vec<usize>, ModelCost) {
+        let n = self.cv.n_variants();
+        if n == 0 {
+            return (Vec::new(), ModelCost::default());
+        }
+        let default = self.cv.default_variant().filter(|&d| d < n);
+        if self.shared.health.is_degraded() {
+            return (default.into_iter().collect(), ModelCost::default());
+        }
+        // The ranking is written straight into the cascade, then
+        // reordered and filtered in place.
+        let mut cascade = Vec::with_capacity(n + 1);
+        let (predicted, cost) = self.evaluate_model(timed, |scratch| {
+            self.cv.predict_rank_into(features, scratch, &mut cascade)
+        });
         if let Some(pred) = predicted {
             let pred = pred.min(n - 1);
             // Lead with the prediction; the rest keep their rank order.
@@ -670,14 +697,18 @@ impl<I: ?Sized> GuardedVariant<I> {
 
     /// The one guarded dispatch loop, with an optional preferred `head`
     /// (a serve tier's cached or default variant) and the input's
-    /// `features` if the caller already evaluated them. The head is
-    /// skipped while quarantined and, unless it is the default (the
-    /// terminal), when a constraint vetoes it; it runs with the retry
-    /// budget and breaker feedback of any candidate. Only if it is
-    /// skipped or fails is the model cascade planned without it (and
-    /// missing features evaluated). Every call ticks the breakers,
-    /// counts its events, emits its span and reports to the dispatch
-    /// observer once. All guard state is atomic, so one guard behind an
+    /// `features` if the caller already evaluated them. Without a head, a
+    /// healthy guard evaluates the features and takes the model's vote
+    /// winner as the head; no posterior is coupled unless the vote ties.
+    /// The head is skipped while quarantined and, unless it is the
+    /// default (the terminal), when a constraint vetoes it; it runs with
+    /// the retry budget and breaker feedback of any candidate. Only if it
+    /// is skipped or fails is the ranked model cascade planned (and
+    /// missing features evaluated), with the head re-inserted first. A
+    /// served head is the whole reported cascade, and the constraints of
+    /// the candidates below it are never evaluated. Every call ticks the
+    /// breakers, counts its events, emits its span and reports to the
+    /// dispatch observer once. All guard state is atomic, so one guard behind an
     /// `Arc` serves every worker shard with no lock on this path.
     ///
     /// Errors: [`NitroError::NoHealthyVariant`] when every candidate is
@@ -687,12 +718,13 @@ impl<I: ?Sized> GuardedVariant<I> {
         &self,
         input: &I,
         head: Option<usize>,
-        features: Option<(Vec<f64>, f64)>,
+        mut features: Option<(Vec<f64>, f64)>,
     ) -> Result<GuardedInvocation>
     where
         I: Sync,
     {
-        if self.cv.n_variants() == 0 {
+        let n = self.cv.n_variants();
+        if n == 0 {
             return Err(NitroError::NoVariants);
         }
         let shared = &*self.shared;
@@ -723,22 +755,34 @@ impl<I: ?Sized> GuardedVariant<I> {
             )
         });
 
+        let observed = self.cv.dispatch_observer().is_some();
+        let mut model_cost = ModelCost::default();
+        let head = match head {
+            // The paper's dispatch needs only the vote winner; the ranked
+            // cascade waits until the winner is skipped or fails.
+            None if !degraded => {
+                let (f, _) = features.get_or_insert_with(|| self.cv.evaluate_features(input));
+                let (predicted, cost) =
+                    self.evaluate_model(observed, |scratch| self.cv.predict_into(f, scratch));
+                model_cost = cost;
+                predicted.map(|p| p.min(n - 1))
+            }
+            head => head,
+        };
         let default = self.cv.default_variant();
-        let head = head.filter(|&h| {
-            h < self.cv.n_variants()
-                && (Some(h) == default || self.cv.constraints_satisfied(h, input))
-        });
+        let head = head
+            .filter(|&h| h < n && (Some(h) == default || self.cv.constraints_satisfied(h, input)));
         let mut served = head.and_then(|h| self.attempt(h, input, &mut run).map(|o| (h, o)));
         let (features, feature_cost_ns) = match (&served, features) {
             (_, Some(given)) => given,
             (Some(_), None) => (Vec::new(), 0.0),
             (None, None) => self.cv.evaluate_features(input),
         };
-        let (cascade, model_cost) = if served.is_some() {
-            (head.into_iter().collect(), ModelCost::default())
+        let cascade = if served.is_some() {
+            head.into_iter().collect()
         } else {
-            let observed = self.cv.dispatch_observer().is_some();
             let (mut cascade, cost) = self.plan(&features, input, observed);
+            model_cost.add(cost);
             // The head leads the cascade it was tried from; the rest
             // follow in plan order.
             if let Some(h) = head {
@@ -749,7 +793,7 @@ impl<I: ?Sized> GuardedVariant<I> {
                 .iter()
                 .skip(usize::from(head.is_some()))
                 .find_map(|&v| self.attempt(v, input, &mut run).map(|o| (v, o)));
-            (cascade, cost)
+            cascade
         };
         if let Some(s) = span.as_mut() {
             s.end_arg("cascade", nitro_trace::val(&cascade));
@@ -968,10 +1012,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn observations_report_the_model_evaluation() {
-        let ctx = Context::new();
-        let mut cv = toy(&ctx);
+    /// The toy boundary as an SVM, and the kernel evaluations of one
+    /// model pass (each unique support vector once).
+    fn toy_svm() -> (TrainedModel, u64) {
         let data = Dataset::from_parts(
             (0..10).map(|i| vec![i as f64]).collect(),
             (0..10).map(|i| usize::from(i >= 5)).collect(),
@@ -988,23 +1031,113 @@ mod tests {
         let TrainedModel::Svm { model: svm, .. } = &model else {
             panic!("an SVM config trains an SVM");
         };
-        // One kernel pass per call: each unique support vector once.
-        let per_call = svm.compiled().n_unique_svs() as u64;
-        assert!(per_call > 0);
+        let per_pass = svm.compiled().n_unique_svs() as u64;
+        assert!(per_pass > 0);
+        (model, per_pass)
+    }
+
+    #[test]
+    fn observations_report_the_model_evaluation() {
+        let ctx = Context::new();
+        let mut cv = toy(&ctx);
+        let (model, per_pass) = toy_svm();
         cv.install_model(model);
         let observer = Arc::new(CountingObserver::default());
         cv.set_dispatch_observer(observer.clone());
         let guard = GuardedVariant::new(cv, quick_policy()).unwrap();
-        for x in [1.0, 9.0, 4.0] {
-            guard.call(&x).unwrap();
+        for (x, pred) in [(1.0, 0), (9.0, 1), (4.0, 0)] {
+            // A served prediction is the whole cascade: nothing is ranked.
+            let inv = guard.call(&x).unwrap();
+            assert_eq!((inv.variant, inv.cascade), (pred, vec![pred]));
+            assert!(!inv.fell_back);
         }
         assert_eq!(observer.calls.load(Ordering::Relaxed), 3);
-        assert_eq!(observer.kernel_evals.load(Ordering::Relaxed), 3 * per_call);
+        // One kernel pass per call: the vote.
+        assert_eq!(observer.kernel_evals.load(Ordering::Relaxed), 3 * per_pass);
         assert_eq!(
             observer.timed.load(Ordering::Relaxed),
             3,
             "an observer gets the predict wall time"
         );
+    }
+
+    /// Three variants under kNN (k = 3): at 9.4 the neighbours vote
+    /// large, large, mid, so the ranking is [large, mid, small] and the
+    /// default (small) comes last.
+    fn ranked_toy(ctx: &Context) -> CodeVariant<f64> {
+        let mut cv = toy(ctx);
+        cv.add_variant(FnVariant::new("mid", |&x: &f64| 5.0 + x));
+        let data = Dataset::from_parts(
+            [0.0, 1.0, 8.0, 9.0, 10.0]
+                .iter()
+                .map(|&x| vec![x])
+                .collect(),
+            vec![0, 0, 2, 1, 1],
+        );
+        cv.install_model(TrainedModel::train(&ClassifierConfig::Knn { k: 3 }, &data));
+        cv
+    }
+
+    #[test]
+    fn quarantined_prediction_serves_the_next_ranked_candidate() {
+        let ctx = Context::new();
+        let mut cv = ranked_toy(&ctx);
+        cv.replace_variant(1, Arc::new(FnVariant::new("large", |_: &f64| f64::NAN)))
+            .unwrap();
+        let guard = GuardedVariant::new(cv, quick_policy()).unwrap();
+        // The first call burns both attempts on `large` and trips its
+        // breaker.
+        guard.call(&9.4).unwrap();
+        assert!(guard.is_quarantined(1));
+        let inv = guard.call(&9.4).unwrap();
+        assert_eq!(inv.cascade, vec![1, 2, 0]);
+        assert_eq!(inv.variant, 2);
+        assert!(inv.fell_back);
+        assert_eq!(inv.attempts, 1, "the quarantined head is not attempted");
+    }
+
+    #[test]
+    fn constraints_below_a_served_head_are_not_evaluated() {
+        let ctx = Context::new();
+        let mut cv = ranked_toy(&ctx);
+        let checks = Arc::new(AtomicU64::new(0));
+        let counted = checks.clone();
+        cv.add_constraint(
+            2,
+            nitro_core::FnConstraint::new("counted", move |_: &f64| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                true
+            }),
+        )
+        .unwrap();
+        let guard = GuardedVariant::new(cv, quick_policy()).unwrap();
+        let inv = guard.call(&9.4).unwrap();
+        assert_eq!((inv.variant, inv.cascade), (1, vec![1]));
+        assert_eq!(checks.load(Ordering::Relaxed), 0);
+        // Planning the cascade does check the lower-ranked candidate.
+        let (features, _) = guard.inner().evaluate_features(&9.4);
+        assert_eq!(guard.plan_cascade(&features, &9.4), vec![1, 2, 0]);
+        assert_eq!(checks.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn backoff_keeps_doubling_past_32_retries() {
+        let ctx = Context::new();
+        let mut cv = toy(&ctx);
+        cv.replace_variant(1, Arc::new(FnVariant::new("large", |_: &f64| f64::NAN)))
+            .unwrap();
+        cv.install_model(toy_model());
+        let policy = GuardPolicy {
+            retry_budget: 40,
+            backoff_base_ns: 1.0,
+            quarantine_threshold: 100,
+            ..GuardPolicy::default()
+        };
+        let guard = GuardedVariant::new(cv, policy).unwrap();
+        let inv = guard.call(&9.0).unwrap();
+        assert_eq!(inv.retries, 40);
+        // 1 + 2 + … + 2^39, every term exact.
+        assert_eq!(inv.backoff_ns, 2f64.powi(40) - 1.0);
     }
 
     #[test]
@@ -1258,34 +1391,32 @@ mod tests {
         let mut cv = toy(&ctx);
         cv.add_constraint(1, nitro_core::FnConstraint::new("never", |_: &f64| false))
             .unwrap();
-        cv.install_model(toy_model());
+        let (model, per_pass) = toy_svm();
+        cv.install_model(model);
+        let observer = Arc::new(CountingObserver::default());
+        cv.set_dispatch_observer(observer.clone());
         let guard = GuardedVariant::new(cv, quick_policy()).unwrap();
         let (features, _) = guard.inner().evaluate_features(&9.0);
         assert_eq!(guard.plan_cascade(&features, &9.0), vec![0]);
-        assert_eq!(guard.call(&9.0).unwrap().variant, 0);
+        let inv = guard.call(&9.0).unwrap();
+        assert_eq!((inv.variant, inv.cascade), (0, vec![0]));
+        assert_eq!(
+            observer.kernel_evals.load(Ordering::Relaxed),
+            2 * per_pass,
+            "the vote, then the plan"
+        );
     }
 
     #[test]
     fn vetoed_prediction_runs_the_next_ranked_variant_not_the_default() {
-        // Three variants; kNN (k = 3) at 9.4 votes large, large, mid, so
-        // the ranking is [large, mid, small] and the default comes last.
         // `large` is vetoed above 9.
         let build = |ctx: &Context| {
-            let mut cv = toy(ctx);
-            cv.add_variant(FnVariant::new("mid", |&x: &f64| 5.0 + x));
+            let mut cv = ranked_toy(ctx);
             cv.add_constraint(
                 1,
                 nitro_core::FnConstraint::new("x <= 9", |&x: &f64| x <= 9.0),
             )
             .unwrap();
-            let data = Dataset::from_parts(
-                [0.0, 1.0, 8.0, 9.0, 10.0]
-                    .iter()
-                    .map(|&x| vec![x])
-                    .collect(),
-                vec![0, 0, 2, 1, 1],
-            );
-            cv.install_model(TrainedModel::train(&ClassifierConfig::Knn { k: 3 }, &data));
             cv
         };
         let ctx = Context::new();
@@ -1298,11 +1429,13 @@ mod tests {
         assert_eq!(inv.variant_name, "small");
         assert!(inv.fell_back_to_default);
 
-        // The guard walks its cascade to the next-ranked allowed variant.
+        // The guard walks its planned cascade to the next-ranked allowed
+        // variant.
         let guard = GuardedVariant::new(build(&ctx), quick_policy()).unwrap();
         assert_eq!(guard.plan_cascade(&features, &9.4), vec![2, 0]);
         let inv = guard.call(&9.4).unwrap();
         assert_eq!(inv.variant_name, "mid");
+        assert_eq!(inv.cascade, vec![2, 0]);
         assert!(!inv.fell_back);
     }
 

@@ -1,5 +1,7 @@
 //! Allocation gate for the guard's serving path: after warm-up, an
-//! untraced `GuardedVariant::call` allocates only the values it returns.
+//! untraced `GuardedVariant::call` allocates only the values it returns,
+//! both when the model's vote winner serves and when a veto sends the
+//! call through the ranked cascade.
 //!
 //! A counting global allocator measures whole batches of calls, so this
 //! file holds exactly one test: nothing else may allocate while it runs.
@@ -36,15 +38,15 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-#[test]
-fn untraced_guarded_call_allocates_only_its_result() {
+/// A three-variant function over `x` and a three-class SVM: `narrow`
+/// below 5, `mid` below 10, `wide` above. `wide` is vetoed on small
+/// inputs, so a planned cascade is filtered too; `veto_predictions`
+/// vetoes every non-default variant outright.
+fn guard(veto_predictions: bool) -> nitro::guard::GuardedVariant<f64> {
     use nitro::core::{ClassifierConfig, CodeVariant, Context, FnConstraint, FnFeature, FnVariant};
     use nitro::guard::{GuardPolicy, GuardedVariant};
     use nitro::ml::{Dataset, TrainedModel};
 
-    // Three variants and a three-class SVM, so every call couples a
-    // posterior and ranks it; `wide` is vetoed on small inputs, so the
-    // cascade is filtered too.
     let ctx = Context::new();
     let mut cv = CodeVariant::<f64>::new("alloc", &ctx);
     cv.add_variant(FnVariant::new("narrow", |&x: &f64| 1.0 + x));
@@ -55,7 +57,13 @@ fn untraced_guarded_call_allocates_only_its_result() {
     cv.add_input_feature(FnFeature::new("x2", |&x: &f64| x * x));
     cv.add_constraint(2, FnConstraint::new("big", |&x: &f64| x > 3.0))
         .unwrap();
-    let xs: Vec<f64> = (0..30).map(|i| f64::from(i) * 0.5).collect();
+    if veto_predictions {
+        for v in [1, 2] {
+            cv.add_constraint(v, FnConstraint::new("never", |_: &f64| false))
+                .unwrap();
+        }
+    }
+    let xs = inputs();
     let data = Dataset::from_parts(
         xs.iter().map(|&x| vec![x, x * x]).collect(),
         xs.iter()
@@ -71,23 +79,61 @@ fn untraced_guarded_call_allocates_only_its_result() {
         },
         &data,
     ));
-    let guard = GuardedVariant::new(cv, GuardPolicy::default()).unwrap();
+    GuardedVariant::new(cv, GuardPolicy::default()).unwrap()
+}
 
+fn inputs() -> Vec<f64> {
+    (0..30).map(|i| f64::from(i) * 0.5).collect()
+}
+
+/// Allocations per guarded call over two identical batches, after a
+/// warm-up batch that compiles the model and sizes this thread's
+/// scratch.
+fn allocations_per_call(guard: &nitro::guard::GuardedVariant<f64>, xs: &[f64]) -> f64 {
     let run_batch = || {
-        for &x in &xs {
+        for &x in xs {
             std::hint::black_box(guard.call(&x).unwrap());
         }
     };
-    // Warm-up: compiles the model and sizes this thread's scratch.
     run_batch();
-
     let first = allocations_during(run_batch);
     let second = allocations_during(run_batch);
     assert_eq!(first, second, "identical batches must allocate identically");
-    // The feature vector, the cascade and the variant name.
-    let per_call = first as f64 / xs.len() as f64;
+    first as f64 / xs.len() as f64
+}
+
+#[test]
+fn untraced_guarded_call_allocates_only_its_result() {
+    // The served batch: every head is the model's vote winner and runs,
+    // so no call ranks. Each allocates the feature vector, the one-entry
+    // cascade and the variant name.
+    let served = guard(false);
+    let per_call = allocations_per_call(&served, &inputs());
     assert!(
         per_call <= 3.0,
-        "{per_call} allocations per guarded call, expected at most 3"
+        "{per_call} allocations per served guarded call, expected at most 3"
+    );
+
+    // The vetoed batch: every prediction is a vetoed variant, so every
+    // call couples a posterior, ranks it and plans the cascade. Each
+    // allocates the feature vector, the planned cascade and the name.
+    let vetoed = guard(true);
+    let xs: Vec<f64> = inputs()
+        .into_iter()
+        .filter(|&x| {
+            let (features, _) = vetoed.inner().evaluate_features(&x);
+            vetoed.inner().select(&features) != Some(0)
+        })
+        .collect();
+    assert!(xs.len() >= 10, "the vetoed batch has {} inputs", xs.len());
+    for &x in &xs {
+        let inv = vetoed.call(&x).unwrap();
+        let (features, _) = vetoed.inner().evaluate_features(&x);
+        assert_eq!(inv.cascade, vetoed.plan_cascade(&features, &x));
+    }
+    let per_call = allocations_per_call(&vetoed, &xs);
+    assert!(
+        per_call <= 3.0,
+        "{per_call} allocations per vetoed guarded call, expected at most 3"
     );
 }
