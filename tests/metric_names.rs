@@ -8,19 +8,29 @@
 //!   test set and healthy again for a second, and a `FunctionPulse`
 //!   observer on the wrapped function.
 //!
+//! A second test pins the `serve.<fn>.*` metrics of a lockstep
+//! `ServeFront` run on a manual clock.
+//!
 //! Gauges hold wall-clock timings, so only their names are pinned.
 //!
-//! One test: the tracer and fault-plan slots the simulator reads are
-//! process-wide, so nothing else may launch kernels while it runs.
+//! The simulator's runs share one test: the tracer and fault-plan slots
+//! the simulator reads are process-wide, so nothing else may launch
+//! kernels while it runs. The serve run launches none.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
-use nitro::core::{ClassifierConfig, CodeVariant, Context};
+use nitro::core::{
+    ClassifierConfig, CodeVariant, Context, FnFeature, FnVariant, Priority, RequestMeta, TenantId,
+};
 use nitro::guard::{inject_failures, GuardPolicy, GuardStats, GuardedVariant};
+use nitro::ml::{Dataset, TrainedModel};
 use nitro::pulse::FunctionPulse;
+use nitro::serve::{Rejection, ServeClock, ServeConfig, ServeFront, ServeOutcome, ShardState};
 use nitro::simt::{
     install_fault_plan, silence_injected_panics, uninstall_fault_plan, DeviceConfig, FaultPlan,
+    INJECTED_PANIC_PREFIX,
 };
 use nitro::sort::keys::SortInput;
 use nitro::trace::{MetricsRegistry, MetricsSnapshot, RingSink, Tracer};
@@ -122,6 +132,34 @@ const GUARD_STATS: GuardStats = GuardStats {
     backoff_ns: 15_000.0,
 };
 
+const SERVE: Expected = Expected {
+    counters: &[
+        ("serve.pin.admitted", 6),
+        ("serve.pin.deadline_violations", 0),
+        ("serve.pin.degrade_cached", 0),
+        ("serve.pin.degrade_default", 0),
+        ("serve.pin.drained", 0),
+        ("serve.pin.hotswap_installs", 1),
+        ("serve.pin.panics", 1),
+        ("serve.pin.poison_quarantined", 0),
+        ("serve.pin.rejected_expired", 1),
+        ("serve.pin.rejected_queue", 0),
+        ("serve.pin.rejected_tenant", 0),
+        ("serve.pin.shard_deaths", 1),
+        ("serve.pin.shard_restarts", 1),
+        ("serve.pin.shard_retired", 0),
+        ("serve.pin.shed_expired", 1),
+        ("serve.pin.shed_failover", 1),
+        ("serve.pin.shed_hopeless", 0),
+    ],
+    gauges: &["serve.pin.tightened"],
+    histograms: &[
+        ("serve.pin.dispatch_latency_ns", 4),
+        ("serve.pin.e2e_latency_ns", 4),
+        ("serve.pin.queue_wait_ns", 4),
+    ],
+};
+
 fn check(label: &str, snap: &MetricsSnapshot, want: &Expected) {
     let counters: Vec<(&str, u64)> = snap
         .counters
@@ -202,6 +240,125 @@ fn guarded_faulty_run() -> (MetricsSnapshot, MetricsSnapshot, GuardStats) {
         registry.snapshot(),
         guard.stats(),
     )
+}
+
+/// Two variants, each parking on `gate` (entered, then released) for
+/// inputs from 100 up; a negative input panics in feature evaluation,
+/// past the guard, and kills its shard.
+fn gated_cv(gate: &Arc<(Barrier, Barrier)>) -> CodeVariant<f64> {
+    let mut cv = CodeVariant::new("pin", &Context::new());
+    for (name, scale) in [("lo", 1.0), ("hi", 2.0)] {
+        let gate = gate.clone();
+        cv.add_variant(FnVariant::new(name, move |&x: &f64| {
+            if x >= 100.0 {
+                gate.0.wait();
+                gate.1.wait();
+            }
+            scale * x
+        }));
+    }
+    cv.set_default(0);
+    cv.add_input_feature(FnFeature::new("x", |&x: &f64| {
+        if x < 0.0 {
+            panic!("{INJECTED_PANIC_PREFIX}grenade in feature evaluation");
+        }
+        x
+    }));
+    cv
+}
+
+/// One shard on a manual clock, one request at a time: two served, one
+/// rejected expired at the door, one shed expired in the queue behind a
+/// gated dispatch, one that kills the shard and is shed on failover
+/// while the restart backs off, and one served after the restart.
+fn lockstep_serve_run() -> MetricsSnapshot {
+    silence_injected_panics();
+    let gate = Arc::new((Barrier::new(2), Barrier::new(2)));
+    let mut cv = gated_cv(&gate);
+    let data = Dataset::from_parts(
+        (0..10).map(|i| vec![f64::from(i)]).collect(),
+        (0..10).map(|i| usize::from(i >= 5)).collect(),
+    );
+    cv.install_model(TrainedModel::train(&ClassifierConfig::Knn { k: 1 }, &data));
+    let artifact = cv.export_artifact().unwrap();
+
+    let registry = MetricsRegistry::with_stripes(2);
+    let (clock, hand) = ServeClock::manual();
+    let config = ServeConfig {
+        shards: 1,
+        queue_capacity: Some(8),
+        tenant_slots: 4,
+        tenant_rate_per_s: 1_000_000.0,
+        tenant_burst: 1_000,
+        hopeless_shedding: false,
+        ..ServeConfig::default()
+    };
+    let front = ServeFront::start(
+        config,
+        GuardPolicy::default(),
+        clock.clone(),
+        Some(&registry),
+        {
+            let gate = gate.clone();
+            move |_| gated_cv(&gate)
+        },
+    )
+    .unwrap();
+    front.publish_artifact(artifact);
+    let meta = |budget_ns| {
+        RequestMeta::new(
+            TenantId(1),
+            Priority::Interactive,
+            clock.now_ns(),
+            budget_ns,
+        )
+    };
+    let served = |outcome| matches!(outcome, ServeOutcome::Served { .. });
+
+    for x in [1.0, 7.0] {
+        assert!(served(front.submit(x, meta(1_000_000_000)).unwrap().wait()));
+        hand.fetch_add(10_000, Ordering::SeqCst);
+    }
+    let stale = RequestMeta::new(TenantId(1), Priority::Interactive, 0, 1);
+    assert_eq!(
+        front.submit(1.0, stale).unwrap_err(),
+        Rejection::DeadlineExpired
+    );
+
+    // The gated dispatch holds the only worker while the queued
+    // request's 1 µs budget runs out.
+    let gated = front.submit(100.0, meta(1_000_000_000)).unwrap();
+    gate.0.wait();
+    let queued = front.submit(2.0, meta(1_000)).unwrap();
+    hand.fetch_add(10_000, Ordering::SeqCst);
+    gate.1.wait();
+    assert!(served(gated.wait()));
+    assert!(matches!(queued.wait(), ServeOutcome::ShedExpired { .. }));
+
+    let grenade = front.submit(-1.0, meta(1_000_000_000)).unwrap();
+    assert!(matches!(
+        grenade.wait(),
+        ServeOutcome::ShedFailover { from_shard: 0 }
+    ));
+    hand.fetch_add(2_000_000, Ordering::SeqCst);
+    for _ in 0..5_000 {
+        if front.shard_states() == [ShardState::Up] {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(served(
+        front.submit(3.0, meta(1_000_000_000)).unwrap().wait()
+    ));
+
+    let summary = front.shutdown();
+    assert!(summary.accounting.is_conserved());
+    registry.snapshot()
+}
+
+#[test]
+fn serve_front_metric_names_and_counts_are_stable() {
+    check("lockstep serve run", &lockstep_serve_run(), &SERVE);
 }
 
 #[test]
