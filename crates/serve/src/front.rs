@@ -900,10 +900,10 @@ fn worker_loop<I: Send + Sync + 'static>(
     }
 }
 
-/// Account an escaped panic against the request that caused it: the job
-/// is parked for re-placement (or quarantined as a poison pill) and the
-/// shard slot is marked dead with its restart backoff armed. The worker
-/// must exit afterwards.
+/// Account an escaped panic against the request that caused it: the
+/// shard slot is marked dead with its restart backoff armed, then the
+/// job is parked for re-placement (or quarantined as a poison pill). The
+/// worker must exit afterwards.
 fn handle_escaped_panic<I: Send + Sync + 'static>(
     shard: usize,
     generation: u64,
@@ -928,7 +928,26 @@ fn handle_escaped_panic<I: Send + Sync + 'static>(
             detail,
         });
 
+    // The shard goes down before its job is parked or resolved: a
+    // parked job must not be re-placed onto this dying shard, and a
+    // caller woken by the resolution must find the shard Dead with its
+    // restart backoff already armed.
     let sup = &inner.config.supervision;
+    let slot = &inner.slots[shard];
+    let restarts = slot.restarts.load(Ordering::SeqCst);
+    let backoff = sup
+        .restart_backoff_base_ns
+        .saturating_mul(1u64 << restarts.min(20));
+    slot.next_restart_at_ns.store(
+        inner.clock.now_ns().saturating_add(backoff),
+        Ordering::SeqCst,
+    );
+    slot.set_state(ShardState::Dead);
+    inner.shard_deaths.fetch_add(1, Ordering::SeqCst);
+    if let Some(p) = &inner.pulse {
+        p.shard_deaths.inc();
+    }
+
     job.kills += 1;
     if job.kills >= sup.poison_kill_threshold {
         inner.poison_quarantined.fetch_add(1, Ordering::SeqCst);
@@ -949,21 +968,6 @@ fn handle_escaped_panic<I: Send + Sync + 'static>(
         job.reply.resolve(ServeOutcome::Quarantined { kills });
     } else {
         inner.parked.lock().expect("parked").push((shard, job));
-    }
-
-    let slot = &inner.slots[shard];
-    let restarts = slot.restarts.load(Ordering::SeqCst);
-    let backoff = sup
-        .restart_backoff_base_ns
-        .saturating_mul(1u64 << restarts.min(20));
-    slot.next_restart_at_ns.store(
-        inner.clock.now_ns().saturating_add(backoff),
-        Ordering::SeqCst,
-    );
-    slot.set_state(ShardState::Dead);
-    inner.shard_deaths.fetch_add(1, Ordering::SeqCst);
-    if let Some(p) = &inner.pulse {
-        p.shard_deaths.inc();
     }
 }
 

@@ -15,6 +15,7 @@ use nitro_guard::GuardPolicy;
 use nitro_serve::{
     Rejection, ServeClock, ServeConfig, ServeFront, ServeOutcome, ShardState, SupervisorConfig,
 };
+use nitro_simt::{silence_injected_panics, INJECTED_PANIC_PREFIX};
 use nitro_trace::MetricsRegistry;
 
 /// A registration whose *feature evaluation* panics on negative input.
@@ -27,7 +28,7 @@ fn grenade_cv(ctx: &Context, name: &str) -> CodeVariant<f64> {
     cv.set_default(0);
     cv.add_input_feature(FnFeature::new("x", |&x: &f64| {
         if x < 0.0 {
-            panic!("grenade: feature evaluation blew up on {x}");
+            panic!("{INJECTED_PANIC_PREFIX}grenade: feature evaluation blew up on {x}");
         }
         x
     }));
@@ -171,6 +172,36 @@ fn poison_pill_is_quarantined_after_two_kills() {
         "quarantine must be audited: {:?}",
         summary.diagnostics
     );
+}
+
+#[test]
+fn a_quarantined_poison_pill_leaves_no_killing_shard_up() {
+    // The killing worker marks its shard Dead, with the restart backoff
+    // armed, before the request resolves: a lockstep driver that reads
+    // the shard states right after `wait()` (and then advances the
+    // clock past the backoff) must never see a killing shard still Up.
+    for iteration in 0..300 {
+        let (clock, _hand) = ServeClock::manual();
+        let front = ServeFront::start(
+            supervised_config(2, SupervisorConfig::default()),
+            GuardPolicy::default(),
+            clock.clone(),
+            None,
+            |_| grenade_cv(&Context::new(), "race"),
+        )
+        .unwrap();
+        let poison = front.submit(-1.0, meta(&clock, 9)).unwrap();
+        assert!(matches!(
+            poison.wait(),
+            ServeOutcome::Quarantined { kills: 2 }
+        ));
+        let states = front.shard_states();
+        assert!(
+            !states.contains(&ShardState::Up),
+            "iteration {iteration}: a killing shard still reads Up: {states:?}"
+        );
+        front.shutdown();
+    }
 }
 
 #[test]
