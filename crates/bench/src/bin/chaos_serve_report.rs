@@ -316,7 +316,7 @@ fn lockstep_run(plan: &ChaosPlan) -> BenchResult<LockstepRun> {
             shard_deaths: summary.shard_deaths,
             shard_restarts: summary.shard_restarts,
             shards_retired: summary.shards_retired,
-            poison_quarantined: summary.poison_quarantined,
+            poison_quarantined: summary.accounting.quarantined,
             escaped_panics: summary.escaped_panics,
             panic_attribution: summary
                 .panic_records
@@ -603,7 +603,7 @@ fn storm_run(plan: &ChaosPlan) -> BenchResult<PhaseBOutcome> {
     if summary.shard_deaths > 0 && summary.shard_restarts + summary.shards_retired == 0 {
         failures.push("shards died but the supervisor never acted".to_string());
     }
-    if poison_admitted && summary.poison_quarantined == 0 {
+    if poison_admitted && summary.accounting.quarantined == 0 {
         failures.push("an admitted poison pill was never quarantined".to_string());
     }
     if churn.publish_faults_untyped > 0 {
@@ -625,7 +625,7 @@ fn storm_run(plan: &ChaosPlan) -> BenchResult<PhaseBOutcome> {
             shard_deaths: summary.shard_deaths,
             shard_restarts: summary.shard_restarts,
             shards_retired: summary.shards_retired,
-            poison_quarantined: summary.poison_quarantined,
+            poison_quarantined: summary.accounting.quarantined,
             poison_admitted,
             escaped_panics: summary.escaped_panics,
             panic_records: summary.panic_records.len() as u64,

@@ -29,18 +29,23 @@
 //! Work is **never** started on a request whose deadline has passed —
 //! expiry is checked at admission and re-checked at dequeue, and the
 //! optional hopeless-shed drops requests whose remaining budget is
-//! below the shard's smoothed service-time estimate. Every decision
-//! increments a [`ServePulse`] counter.
+//! below the shard's smoothed service-time estimate.
 //!
-//! A panic that escapes the guarded dispatch kills only its shard: the worker records the
-//! offending request ([`PanicRecord`]), parks it for re-placement (or
-//! quarantines it once it has killed
-//! [`SupervisorConfig::poison_kill_threshold`] shards, `NITRO112`),
-//! marks its slot dead and exits. The supervisor drains the dead
-//! shard's queue back through placement — every queued request ends in
-//! exactly one accounted outcome ([`ConservationLedger`]) — and
-//! restarts the shard re-seeded from the current model epoch, under an
-//! exponential backoff and a restart budget (`NITRO110`/`NITRO111`).
+//! Every event is counted once, in the front's [`ServePulse`]: each
+//! terminal outcome where the request's reply slot resolves, everything
+//! else at its decision point. The lineage accounting and the shutdown
+//! summary are reads of those counters.
+//!
+//! A panic that escapes the guarded dispatch kills only its shard: the
+//! worker records the offending request ([`PanicRecord`]), marks its
+//! slot dead with the restart backoff armed, parks the request for
+//! re-placement (or quarantines it once it has killed
+//! [`SupervisorConfig::poison_kill_threshold`] shards, `NITRO112`) and
+//! exits. The supervisor drains the dead shard's queue back through
+//! placement — every queued request ends in exactly one accounted
+//! outcome ([`LineageAccounting`]) — and restarts the shard re-seeded
+//! from the current model epoch, under an exponential backoff and a
+//! restart budget (`NITRO110`/`NITRO111`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -62,7 +67,7 @@ use crate::audit::{
 use crate::clock::ServeClock;
 use crate::degrade::{admission_watermark, regime_fingerprint, tier_for, DegradeTier, RegimeCache};
 use crate::epoch::EpochCell;
-use crate::lineage::{ConservationLedger, LineageAccounting};
+use crate::lineage::LineageAccounting;
 use crate::metrics::ServePulse;
 use crate::queue::ShardQueue;
 use crate::supervise::{PanicRecord, ShardSlot, ShardState, SupervisorConfig};
@@ -246,43 +251,37 @@ pub struct ModelSlot {
     pub artifact: Option<ModelArtifact>,
 }
 
-/// The write half of a ticket, wrapped so that *dropping it without
-/// resolving* is observable: the drop counts a loss in the
-/// [`ConservationLedger`] (a `NITRO114` at shutdown) and still unblocks
-/// the waiter. Resolution is exactly-once by construction — `resolve`
-/// consumes the slot.
+/// The write half of a ticket, and the one place a terminal outcome is
+/// counted: `resolve` counts the outcome in the front's [`ServePulse`],
+/// and dropping the slot without resolving counts a loss (a `NITRO114`
+/// at shutdown) and still unblocks the waiter. Resolution is
+/// exactly-once by construction — `resolve` consumes the slot.
 struct ReplySlot {
     tx: Option<SyncSender<ServeOutcome>>,
-    ledger: Arc<ConservationLedger>,
+    pulse: Arc<ServePulse>,
 }
 
 impl ReplySlot {
     fn resolve(mut self, outcome: ServeOutcome) {
-        let counter = match &outcome {
-            ServeOutcome::Served { .. } => &self.ledger.served,
-            ServeOutcome::ShedExpired { .. } => &self.ledger.shed_expired,
-            ServeOutcome::ShedHopeless { .. } => &self.ledger.shed_hopeless,
-            ServeOutcome::ShedFailover { .. } => &self.ledger.shed_failover,
-            ServeOutcome::Quarantined { .. } => &self.ledger.quarantined,
-            ServeOutcome::Failed { .. } => &self.ledger.failed,
-        };
-        counter.fetch_add(1, Ordering::SeqCst);
+        let p = &self.pulse;
+        match &outcome {
+            ServeOutcome::Served { .. } => p.served.inc(),
+            ServeOutcome::ShedExpired { .. } => p.shed_expired.inc(),
+            ServeOutcome::ShedHopeless { .. } => p.shed_hopeless.inc(),
+            ServeOutcome::ShedFailover { .. } => p.shed_failover.inc(),
+            ServeOutcome::Quarantined { .. } => p.poison_quarantined.inc(),
+            ServeOutcome::Failed { .. } => p.failed.inc(),
+        }
         if let Some(tx) = self.tx.take() {
             let _ = tx.send(outcome);
         }
-    }
-
-    /// Disarm without accounting — only for jobs that were never
-    /// admitted (push refused at a closing queue).
-    fn defuse(mut self) {
-        self.tx = None;
     }
 }
 
 impl Drop for ReplySlot {
     fn drop(&mut self) {
         if let Some(tx) = self.tx.take() {
-            self.ledger.lost.fetch_add(1, Ordering::SeqCst);
+            self.pulse.lost.inc();
             let _ = tx.send(ServeOutcome::Failed {
                 error: "request lost: reply slot dropped without an accounted outcome".into(),
             });
@@ -321,9 +320,7 @@ struct FrontInner<I> {
     rr: AtomicU64,
     model: EpochCell<ModelSlot>,
     publish_seq: AtomicU64,
-    pulse: Option<Arc<ServePulse>>,
-    escaped_panics: AtomicU64,
-    ledger: Arc<ConservationLedger>,
+    pulse: Arc<ServePulse>,
     lineage_seq: AtomicU64,
     slots: Vec<ShardSlot>,
     /// Jobs rescued off dying workers, awaiting re-placement:
@@ -331,16 +328,33 @@ struct FrontInner<I> {
     parked: Mutex<Vec<(usize, Job<I>)>>,
     panic_records: Mutex<Vec<PanicRecord>>,
     diagnostics: Mutex<Vec<Diagnostic>>,
-    shard_deaths: AtomicU64,
-    shard_restarts: AtomicU64,
-    shards_retired: AtomicU64,
-    poison_quarantined: AtomicU64,
     shutting_down: AtomicBool,
     worker_handles: Mutex<Vec<Option<JoinHandle<()>>>>,
     /// Handles of fenced-out (wedged) or retired workers; joined at
     /// shutdown if they finished, detached otherwise.
     zombie_handles: Mutex<Vec<JoinHandle<()>>>,
     factory: WorkerFactory<I>,
+}
+
+impl<I> FrontInner<I> {
+    /// Record a runtime diagnostic for the shutdown summary.
+    fn diagnose(&self, diagnostic: Diagnostic) {
+        self.diagnostics
+            .lock()
+            .expect("diagnostics")
+            .push(diagnostic);
+    }
+
+    /// Move a shard's worker handle to the zombie list (joined at
+    /// shutdown if it has finished by then).
+    fn bury_worker(&self, shard: usize) {
+        if let Some(handle) = self.worker_handles.lock().expect("worker handles")[shard].take() {
+            self.zombie_handles
+                .lock()
+                .expect("zombie handles")
+                .push(handle);
+        }
+    }
 }
 
 /// Aggregate outcome of a front door's lifetime, from
@@ -356,16 +370,16 @@ pub struct ServeSummary {
     /// Worker threads whose join failed — a panic got past even the
     /// backstop. Must be 0.
     pub workers_failed: usize,
-    /// Shard deaths observed (panic escaped dispatch, supervised mode).
+    /// Shard deaths: panics that escaped dispatch and took the shard
+    /// down.
     pub shard_deaths: u64,
     /// Supervisor restarts performed (`NITRO110`s).
     pub shard_restarts: u64,
     /// Shards retired on an exhausted restart budget (`NITRO111`s).
     pub shards_retired: u64,
-    /// Requests quarantined as poison pills (`NITRO112`s).
-    pub poison_quarantined: u64,
     /// Final conservation accounting; `accounting.is_conserved()` must
     /// hold (otherwise `diagnostics` carries a `NITRO114`).
+    /// `accounting.quarantined` counts the poison pills (`NITRO112`s).
     pub accounting: LineageAccounting,
     /// Every escaped panic, attributed to the request that caused it.
     pub panic_records: Vec<PanicRecord>,
@@ -389,7 +403,9 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
     /// ([`GuardedVariant::new_sharing`]), so a variant quarantined on
     /// one shard is quarantined on all. The configuration audit
     /// (`NITRO100`–`NITRO104`) runs first and error findings refuse
-    /// startup; attach a `MetricsRegistry` to get the `serve.*` metrics.
+    /// startup. The `serve.<fn>.*` metrics are registered in `registry`,
+    /// or in a private registry when it is `None`; the front's
+    /// accounting reads them either way.
     /// The factory is retained and re-invoked to rebuild dead shards,
     /// so it must be `Send + Sync + 'static`.
     pub fn start(
@@ -438,7 +454,7 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             shared: shared.clone(),
         };
 
-        let pulse = registry.map(|r| ServePulse::register(r, &function));
+        let pulse = ServePulse::register(registry.unwrap_or(&MetricsRegistry::new()), &function);
         let shard_count = guards.len();
         let inner = Arc::new(FrontInner {
             queues: (0..shard_count).map(|_| ShardQueue::default()).collect(),
@@ -455,8 +471,6 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             })),
             publish_seq: AtomicU64::new(0),
             pulse,
-            escaped_panics: AtomicU64::new(0),
-            ledger: Arc::new(ConservationLedger::new()),
             lineage_seq: AtomicU64::new(0),
             slots: (0..shard_count).map(|_| ShardSlot::default()).collect(),
             parked: Mutex::new(Vec::new()),
@@ -464,10 +478,6 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             // Keep the startup warnings (NITRO103/104): they belong in
             // the shutdown summary next to the runtime NITRO11x family.
             diagnostics: Mutex::new(diagnostics),
-            shard_deaths: AtomicU64::new(0),
-            shard_restarts: AtomicU64::new(0),
-            shards_retired: AtomicU64::new(0),
-            poison_quarantined: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
             worker_handles: Mutex::new(Vec::new()),
             zombie_handles: Mutex::new(Vec::new()),
@@ -519,16 +529,12 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
         let inner = &*self.inner;
         let now = inner.clock.now_ns();
         if meta.deadline.is_expired(now) {
-            if let Some(p) = &inner.pulse {
-                p.rejected_expired.inc();
-            }
+            inner.pulse.rejected_expired.inc();
             return Err(Rejection::DeadlineExpired);
         }
         let shift = inner.tighten.load(Ordering::SeqCst);
         if !inner.tenants.try_take(meta.tenant, now, shift) {
-            if let Some(p) = &inner.pulse {
-                p.rejected_tenant.inc();
-            }
+            inner.pulse.rejected_tenant.inc();
             return Err(Rejection::TenantThrottled);
         }
         // Power of two choices on queue depth, over live shards only —
@@ -541,9 +547,7 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             .map(|(i, _)| i)
             .collect();
         if live.is_empty() {
-            if let Some(p) = &inner.pulse {
-                p.rejected_queue.inc();
-            }
+            inner.pulse.rejected_no_shard.inc();
             return Err(Rejection::NoLiveShards);
         }
         let n = live.len();
@@ -555,9 +559,7 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
 
         let capacity = inner.config.queue_capacity.expect("audited Some");
         if depth >= admission_watermark(capacity, meta.priority, shift) {
-            if let Some(p) = &inner.pulse {
-                p.rejected_queue.inc();
-            }
+            inner.pulse.rejected_queue.inc();
             return Err(Rejection::QueueFull { shard, depth });
         }
 
@@ -571,21 +573,20 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             kills: 0,
             reply: ReplySlot {
                 tx: Some(tx),
-                ledger: inner.ledger.clone(),
+                pulse: inner.pulse.clone(),
             },
         };
         match inner.queues[shard].push(job, meta.priority) {
             Ok(()) => {
-                inner.ledger.admitted.fetch_add(1, Ordering::SeqCst);
-                if let Some(p) = &inner.pulse {
-                    p.admitted.inc();
-                }
+                inner.pulse.admitted.inc();
                 Ok(ServeTicket { rx, lineage })
             }
             // Shutting down (or the shard retired between the state
-            // read and the push): never admitted, so don't account it.
-            Err(job) => {
-                job.reply.defuse();
+            // read and the push): never admitted, so disarm the reply
+            // slot — dropping it must not count a loss.
+            Err(mut job) => {
+                job.reply.tx = None;
+                inner.pulse.rejected_queue.inc();
                 Err(Rejection::QueueFull { shard, depth })
             }
         }
@@ -630,10 +631,10 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |t| {
                 (t < max).then_some(t + 1)
             });
-        if let Some(p) = &self.inner.pulse {
-            p.tightened
-                .set(f64::from(self.inner.tighten.load(Ordering::SeqCst)));
-        }
+        self.inner
+            .pulse
+            .tightened
+            .set(f64::from(self.inner.tighten.load(Ordering::SeqCst)));
         true
     }
 
@@ -643,10 +644,10 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             .inner
             .tighten
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |t| t.checked_sub(1));
-        if let Some(p) = &self.inner.pulse {
-            p.tightened
-                .set(f64::from(self.inner.tighten.load(Ordering::SeqCst)));
-        }
+        self.inner
+            .pulse
+            .tightened
+            .set(f64::from(self.inner.tighten.load(Ordering::SeqCst)));
     }
 
     /// Current tighten level (0 = wide open).
@@ -664,12 +665,14 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
         self.inner.slots.iter().map(|s| s.state()).collect()
     }
 
-    /// Mid-flight snapshot of the conservation ledger. While requests
-    /// are in queues, `admitted` legitimately exceeds the terminal sum;
-    /// only the post-shutdown snapshot (in [`ServeSummary`]) is a
-    /// conservation check.
+    /// A mid-flight read of the lineage accounting. Only the
+    /// post-shutdown read (in [`ServeSummary`]) is a conservation check:
+    /// while requests are in flight, queued requests make `admitted`
+    /// exceed the terminal sum, and admission is counted after the push,
+    /// so a request can resolve before its admission is counted — the
+    /// read can be off in either direction.
     pub fn accounting(&self) -> LineageAccounting {
-        self.inner.ledger.snapshot()
+        LineageAccounting::read(&self.inner.pulse)
     }
 
     /// Close the queues, drain remaining work, join every worker, then
@@ -681,7 +684,7 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             q.close();
         }
         let _ = self.supervisor.join();
-        let handles: Vec<JoinHandle<()>> = self
+        let workers: Vec<JoinHandle<()>> = self
             .inner
             .worker_handles
             .lock()
@@ -689,27 +692,21 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             .drain(..)
             .flatten()
             .collect();
-        let mut joined = 0;
-        let mut failed = 0;
-        for handle in handles {
+        let zombies =
+            std::mem::take(&mut *self.inner.zombie_handles.lock().expect("zombie handles"));
+        // Join the live workers, then every zombie that has finished. A
+        // still-wedged zombie can never be joined without hanging
+        // shutdown; detach it. Its in-flight job (if any) resolves
+        // whenever it unwedges.
+        let (mut joined, mut failed) = (0, 0);
+        for handle in workers
+            .into_iter()
+            .chain(zombies.into_iter().filter(|z| z.is_finished()))
+        {
             if handle.join().is_ok() {
                 joined += 1;
             } else {
                 failed += 1;
-            }
-        }
-        let zombies: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.inner.zombie_handles.lock().expect("zombie handles"));
-        for zombie in zombies {
-            // A still-wedged zombie can never be joined without hanging
-            // shutdown; detach it. Its in-flight job (if any) resolves
-            // whenever it unwedges.
-            if zombie.is_finished() {
-                if zombie.join().is_ok() {
-                    joined += 1;
-                } else {
-                    failed += 1;
-                }
             }
         }
         // Final sweep: dead/retired shards have no worker to drain
@@ -721,20 +718,20 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
         }
         replace_parked(&self.inner);
 
-        let accounting = self.inner.ledger.snapshot();
+        let pulse = &self.inner.pulse;
+        let accounting = LineageAccounting::read(pulse);
         let mut diagnostics =
             std::mem::take(&mut *self.inner.diagnostics.lock().expect("diagnostics"));
         if !accounting.is_conserved() {
             diagnostics.push(diag_conservation(&self.inner.function, &accounting));
         }
         ServeSummary {
-            escaped_panics: self.inner.escaped_panics.load(Ordering::SeqCst),
+            escaped_panics: pulse.panics.value(),
             workers_joined: joined,
             workers_failed: failed,
-            shard_deaths: self.inner.shard_deaths.load(Ordering::SeqCst),
-            shard_restarts: self.inner.shard_restarts.load(Ordering::SeqCst),
-            shards_retired: self.inner.shards_retired.load(Ordering::SeqCst),
-            poison_quarantined: self.inner.poison_quarantined.load(Ordering::SeqCst),
+            shard_deaths: pulse.shard_deaths.value(),
+            shard_restarts: pulse.shard_restarts.value(),
+            shards_retired: pulse.shard_retired.value(),
             accounting,
             panic_records: std::mem::take(
                 &mut *self.inner.panic_records.lock().expect("panic records"),
@@ -759,16 +756,14 @@ fn worker_loop<I: Send + Sync + 'static>(
     // dispatch cannot lift the estimate above every budget for good.
     let mut ewma_ns = 0.0f64;
     let capacity = inner.config.queue_capacity.expect("audited Some");
+    let slot = &inner.slots[shard];
 
     loop {
-        {
-            let slot = &inner.slots[shard];
-            if slot.generation.load(Ordering::SeqCst) != generation {
-                break; // fenced out: a replacement owns this queue now
-            }
-            slot.heartbeat_ns
-                .store(inner.clock.now_ns(), Ordering::SeqCst);
+        if slot.generation.load(Ordering::SeqCst) != generation {
+            break; // fenced out: a replacement owns this queue now
         }
+        slot.heartbeat_ns
+            .store(inner.clock.now_ns(), Ordering::SeqCst);
         let Some(job) = inner.queues[shard].pop() else {
             break; // closed and drained
         };
@@ -777,9 +772,6 @@ fn worker_loop<I: Send + Sync + 'static>(
         // Shed *before* dispatch — work is never started for a request
         // that can no longer meet its deadline.
         if job.meta.deadline.is_expired(now) {
-            if let Some(p) = &inner.pulse {
-                p.shed_expired.inc();
-            }
             job.reply.resolve(ServeOutcome::ShedExpired {
                 queued_ns: now.saturating_sub(job.enqueued_ns),
             });
@@ -787,9 +779,6 @@ fn worker_loop<I: Send + Sync + 'static>(
         }
         let remaining = job.meta.deadline.remaining_ns(now);
         if inner.config.hopeless_shedding && ewma_ns > 0.0 && (remaining as f64) < ewma_ns {
-            if let Some(p) = &inner.pulse {
-                p.shed_hopeless.inc();
-            }
             job.reply.resolve(ServeOutcome::ShedHopeless {
                 remaining_ns: remaining,
                 estimate_ns: ewma_ns as u64,
@@ -799,18 +788,16 @@ fn worker_loop<I: Send + Sync + 'static>(
         }
 
         // Model hot-swap: pick up a newer epoch before dispatching.
-        let slot = inner.model.load();
-        if slot.version != local_version {
-            if let Some(artifact) = &slot.artifact {
+        let model = inner.model.load();
+        if model.version != local_version {
+            if let Some(artifact) = &model.artifact {
                 guard.install_artifact_or_degrade(artifact.clone());
             }
             cache.clear();
-            local_version = slot.version;
-            if let Some(p) = &inner.pulse {
-                p.hotswap_installs.inc();
-            }
+            local_version = model.version;
+            inner.pulse.hotswap_installs.inc();
         }
-        drop(slot);
+        drop(model);
 
         let shift = inner.tighten.load(Ordering::SeqCst);
         let tier = tier_for(
@@ -822,16 +809,13 @@ fn worker_loop<I: Send + Sync + 'static>(
         );
 
         let started = inner.clock.now_ns();
-        {
-            // Busy + fresh heartbeat while inside the dispatch, so the
-            // supervisor can tell "wedged mid-dispatch" from "idle".
-            // Guarded by generation so a fenced-out zombie doesn't
-            // clobber its replacement's liveness signals.
-            let slot = &inner.slots[shard];
-            if slot.generation.load(Ordering::SeqCst) == generation {
-                slot.heartbeat_ns.store(started, Ordering::SeqCst);
-                slot.busy.store(1, Ordering::SeqCst);
-            }
+        // Busy + fresh heartbeat while inside the dispatch, so the
+        // supervisor can tell "wedged mid-dispatch" from "idle". Guarded
+        // by generation so a fenced-out zombie doesn't clobber its
+        // replacement's liveness signals.
+        if slot.generation.load(Ordering::SeqCst) == generation {
+            slot.heartbeat_ns.store(started, Ordering::SeqCst);
+            slot.busy.store(1, Ordering::SeqCst);
         }
         // The guard already isolates variant panics; this is the
         // backstop for panics from feature evaluation or the dispatch
@@ -839,11 +823,8 @@ fn worker_loop<I: Send + Sync + 'static>(
         let result = catch_unwind(AssertUnwindSafe(|| {
             dispatch_at_tier(&guard, &mut cache, tier, &job.input)
         }));
-        {
-            let slot = &inner.slots[shard];
-            if slot.generation.load(Ordering::SeqCst) == generation {
-                slot.busy.store(0, Ordering::SeqCst);
-            }
+        if slot.generation.load(Ordering::SeqCst) == generation {
+            slot.busy.store(0, Ordering::SeqCst);
         }
         let finished = inner.clock.now_ns();
         let dispatch_ns = finished.saturating_sub(started);
@@ -857,19 +838,18 @@ fn worker_loop<I: Send + Sync + 'static>(
                     ewma_ns + (dispatch_ns as f64 - ewma_ns) / 8.0
                 };
                 let deadline_met = !job.meta.deadline.is_expired(finished);
-                if let Some(p) = &inner.pulse {
-                    p.dispatch_latency_ns.record(dispatch_ns as f64);
-                    p.queue_wait_ns.record(queue_wait_ns as f64);
-                    p.e2e_latency_ns
-                        .record(finished.saturating_sub(job.meta.deadline.issued_ns) as f64);
-                    match tier {
-                        DegradeTier::Full => {}
-                        DegradeTier::CachedRegime => p.degrade_cached.inc(),
-                        DegradeTier::DefaultOnly => p.degrade_default.inc(),
-                    }
-                    if !deadline_met {
-                        p.deadline_violations.inc();
-                    }
+                let p = &inner.pulse;
+                p.dispatch_latency_ns.record(dispatch_ns as f64);
+                p.queue_wait_ns.record(queue_wait_ns as f64);
+                p.e2e_latency_ns
+                    .record(finished.saturating_sub(job.meta.deadline.issued_ns) as f64);
+                match tier {
+                    DegradeTier::Full => {}
+                    DegradeTier::CachedRegime => p.degrade_cached.inc(),
+                    DegradeTier::DefaultOnly => p.degrade_default.inc(),
+                }
+                if !deadline_met {
+                    p.deadline_violations.inc();
                 }
                 job.reply.resolve(ServeOutcome::Served {
                     variant: inv.variant,
@@ -911,10 +891,7 @@ fn handle_escaped_panic<I: Send + Sync + 'static>(
     detail: String,
     inner: &Arc<FrontInner<I>>,
 ) {
-    inner.escaped_panics.fetch_add(1, Ordering::SeqCst);
-    if let Some(p) = &inner.pulse {
-        p.panics.inc();
-    }
+    inner.pulse.panics.inc();
     inner
         .panic_records
         .lock()
@@ -943,28 +920,18 @@ fn handle_escaped_panic<I: Send + Sync + 'static>(
         Ordering::SeqCst,
     );
     slot.set_state(ShardState::Dead);
-    inner.shard_deaths.fetch_add(1, Ordering::SeqCst);
-    if let Some(p) = &inner.pulse {
-        p.shard_deaths.inc();
-    }
+    inner.pulse.shard_deaths.inc();
 
     job.kills += 1;
-    if job.kills >= sup.poison_kill_threshold {
-        inner.poison_quarantined.fetch_add(1, Ordering::SeqCst);
-        if let Some(p) = &inner.pulse {
-            p.poison_quarantined.inc();
-        }
-        inner
-            .diagnostics
-            .lock()
-            .expect("diagnostics")
-            .push(diag_poison_quarantine(
-                &inner.function,
-                job.lineage,
-                job.meta.tenant.0,
-                job.kills,
-            ));
-        let kills = job.kills;
+    let kills = job.kills;
+    if kills >= sup.poison_kill_threshold {
+        let tenant = job.meta.tenant.0;
+        inner.diagnose(diag_poison_quarantine(
+            &inner.function,
+            job.lineage,
+            tenant,
+            kills,
+        ));
         job.reply.resolve(ServeOutcome::Quarantined { kills });
     } else {
         inner.parked.lock().expect("parked").push((shard, job));
@@ -1015,8 +982,8 @@ fn supervisor_loop<I: Send + Sync + 'static>(inner: Arc<FrontInner<I>>, sup: Sup
     }
 }
 
-/// Restart a dead shard: join the exited worker, bump the generation
-/// and spawn a replacement re-seeded from the current model epoch.
+/// Restart a dead shard: join the exited worker, bump the generation,
+/// mark the shard Up and spawn its replacement.
 fn restart_shard<I: Send + Sync + 'static>(
     inner: &Arc<FrontInner<I>>,
     sup: &SupervisorConfig,
@@ -1028,28 +995,17 @@ fn restart_shard<I: Send + Sync + 'static>(
     }
     let slot = &inner.slots[shard];
     let generation = slot.generation.fetch_add(1, Ordering::SeqCst) + 1;
-    match spawn_worker(inner, shard, generation) {
-        Ok(handle) => {
-            inner.worker_handles.lock().expect("worker handles")[shard] = Some(handle);
-            slot.restarts.store(restarts + 1, Ordering::SeqCst);
-            slot.heartbeat_ns
-                .store(inner.clock.now_ns(), Ordering::SeqCst);
-            slot.busy.store(0, Ordering::SeqCst);
-            slot.set_state(ShardState::Up);
-            note_restart(inner, sup, shard, generation, restarts + 1);
-        }
-        Err(e) => retire_shard(
-            inner,
-            shard,
-            restarts,
-            &format!("replacement worker failed to build: {e}"),
-        ),
-    }
+    slot.heartbeat_ns
+        .store(inner.clock.now_ns(), Ordering::SeqCst);
+    slot.busy.store(0, Ordering::SeqCst);
+    slot.set_state(ShardState::Up);
+    respawn(inner, sup, shard, generation, restarts);
 }
 
 /// Fence out a wedged (busy, heartbeat-stale) worker and spawn a
-/// replacement on the same queue. The zombie exits on its own the next
-/// time it reaches a generation check.
+/// replacement on the same queue, or retire the shard when its budget
+/// is spent. The zombie exits on its own the next time it reaches a
+/// generation check.
 fn replace_wedged<I: Send + Sync + 'static>(
     inner: &Arc<FrontInner<I>>,
     sup: &SupervisorConfig,
@@ -1057,28 +1013,43 @@ fn replace_wedged<I: Send + Sync + 'static>(
     now: u64,
 ) {
     let slot = &inner.slots[shard];
-    let restarts = slot.restarts.load(Ordering::SeqCst);
-    if restarts >= sup.restart_budget {
-        slot.generation.fetch_add(1, Ordering::SeqCst); // fence the zombie
-        slot.busy.store(0, Ordering::SeqCst);
-        retire_shard(inner, shard, restarts, "wedged with no restart budget left");
-        return;
-    }
-    let generation = slot.generation.fetch_add(1, Ordering::SeqCst) + 1;
+    let generation = slot.generation.fetch_add(1, Ordering::SeqCst) + 1; // fence the zombie
     slot.busy.store(0, Ordering::SeqCst);
     slot.heartbeat_ns.store(now, Ordering::SeqCst);
-    if let Some(handle) = inner.worker_handles.lock().expect("worker handles")[shard].take() {
-        inner
-            .zombie_handles
-            .lock()
-            .expect("zombie handles")
-            .push(handle);
+    inner.bury_worker(shard);
+    let restarts = slot.restarts.load(Ordering::SeqCst);
+    if restarts >= sup.restart_budget {
+        retire_shard(inner, shard, restarts, "wedged with no restart budget left");
+    } else {
+        respawn(inner, sup, shard, generation, restarts);
     }
+}
+
+/// Spawn generation `generation` of a shard's worker and count the
+/// restart (`NITRO110`); retire the shard if the worker cannot be built.
+/// The restart is consumed before the spawn, so a replacement that dies
+/// at once arms its backoff from the new count.
+fn respawn<I: Send + Sync + 'static>(
+    inner: &Arc<FrontInner<I>>,
+    sup: &SupervisorConfig,
+    shard: usize,
+    generation: u64,
+    restarts: u32,
+) {
+    inner.slots[shard]
+        .restarts
+        .store(restarts + 1, Ordering::SeqCst);
     match spawn_worker(inner, shard, generation) {
         Ok(handle) => {
             inner.worker_handles.lock().expect("worker handles")[shard] = Some(handle);
-            slot.restarts.store(restarts + 1, Ordering::SeqCst);
-            note_restart(inner, sup, shard, generation, restarts + 1);
+            inner.pulse.shard_restarts.inc();
+            inner.diagnose(diag_shard_restart(
+                &inner.function,
+                shard,
+                generation,
+                restarts + 1,
+                sup.restart_budget,
+            ));
         }
         Err(e) => retire_shard(
             inner,
@@ -1097,55 +1068,17 @@ fn retire_shard<I: Send + Sync + 'static>(
     restarts: u32,
     detail: &str,
 ) {
-    let slot = &inner.slots[shard];
-    slot.set_state(ShardState::Retired);
+    inner.slots[shard].set_state(ShardState::Retired);
     inner.queues[shard].close();
     drain_shard(inner, shard); // rescue anything that raced in before the close
-    inner.shards_retired.fetch_add(1, Ordering::SeqCst);
-    if let Some(p) = &inner.pulse {
-        p.shard_retired.inc();
-    }
-    inner
-        .diagnostics
-        .lock()
-        .expect("diagnostics")
-        .push(diag_restart_budget(
-            &inner.function,
-            shard,
-            restarts,
-            detail,
-        ));
-    if let Some(handle) = inner.worker_handles.lock().expect("worker handles")[shard].take() {
-        inner
-            .zombie_handles
-            .lock()
-            .expect("zombie handles")
-            .push(handle);
-    }
-}
-
-fn note_restart<I: Send + Sync + 'static>(
-    inner: &Arc<FrontInner<I>>,
-    sup: &SupervisorConfig,
-    shard: usize,
-    generation: u64,
-    restarts: u32,
-) {
-    inner.shard_restarts.fetch_add(1, Ordering::SeqCst);
-    if let Some(p) = &inner.pulse {
-        p.shard_restarts.inc();
-    }
-    inner
-        .diagnostics
-        .lock()
-        .expect("diagnostics")
-        .push(diag_shard_restart(
-            &inner.function,
-            shard,
-            generation,
-            restarts,
-            sup.restart_budget,
-        ));
+    inner.pulse.shard_retired.inc();
+    inner.diagnose(diag_restart_budget(
+        &inner.function,
+        shard,
+        restarts,
+        detail,
+    ));
+    inner.bury_worker(shard);
 }
 
 /// Build and spawn a replacement worker for `shard`, re-seeded from the
@@ -1197,9 +1130,7 @@ fn drain_shard<I: Send + Sync + 'static>(inner: &Arc<FrontInner<I>>, shard: usiz
     if jobs.is_empty() {
         return;
     }
-    if let Some(p) = &inner.pulse {
-        p.drained.add(jobs.len() as u64);
-    }
+    inner.pulse.drained.add(jobs.len() as u64);
     for job in jobs {
         replace_job(inner, shard, job);
     }
@@ -1224,9 +1155,6 @@ fn replace_job<I: Send + Sync + 'static>(
 ) {
     let now = inner.clock.now_ns();
     if job.meta.deadline.is_expired(now) {
-        if let Some(p) = &inner.pulse {
-            p.shed_expired.inc();
-        }
         job.reply.resolve(ServeOutcome::ShedExpired {
             queued_ns: now.saturating_sub(job.enqueued_ns),
         });
@@ -1234,35 +1162,20 @@ fn replace_job<I: Send + Sync + 'static>(
     }
     let capacity = inner.config.queue_capacity.expect("audited Some");
     let shift = inner.tighten.load(Ordering::SeqCst);
-    let mut best: Option<(usize, usize)> = None;
-    for (i, slot) in inner.slots.iter().enumerate() {
-        if slot.state() == ShardState::Up {
-            let depth = inner.queues[i].depth();
-            if best.is_none_or(|(_, d)| depth < d) {
-                best = Some((i, depth));
-            }
-        }
-    }
-    if let Some((target, depth)) = best {
-        if depth < admission_watermark(capacity, job.meta.priority, shift) {
-            let priority = job.meta.priority;
+    let best = (0..inner.slots.len())
+        .filter(|&i| inner.slots[i].state() == ShardState::Up)
+        .map(|i| (i, inner.queues[i].depth()))
+        .min_by_key(|&(_, depth)| depth);
+    let priority = job.meta.priority;
+    let job = match best {
+        Some((target, depth)) if depth < admission_watermark(capacity, priority, shift) => {
             match inner.queues[target].push(job, priority) {
                 Ok(()) => return, // re-placed; it resolves on the new shard
-                Err(returned) => return shed_failover(inner, from_shard, returned),
+                Err(returned) => returned,
             }
         }
-    }
-    shed_failover(inner, from_shard, job);
-}
-
-fn shed_failover<I: Send + Sync + 'static>(
-    inner: &Arc<FrontInner<I>>,
-    from_shard: usize,
-    job: Job<I>,
-) {
-    if let Some(p) = &inner.pulse {
-        p.shed_failover.inc();
-    }
+        _ => job,
+    };
     job.reply.resolve(ServeOutcome::ShedFailover { from_shard });
 }
 
@@ -1317,6 +1230,26 @@ mod tests {
         let data = Dataset::from_parts((0..4).map(|i| vec![f64::from(i)]).collect(), vec![1; 4]);
         cv.install_model(TrainedModel::train(&ClassifierConfig::Knn { k: 1 }, &data));
         GuardedVariant::new(cv, GuardPolicy::default()).unwrap()
+    }
+
+    #[test]
+    fn a_dropped_reply_slot_counts_a_loss_and_fails_the_waiter() {
+        let registry = MetricsRegistry::with_stripes(2);
+        let pulse = ServePulse::register(&registry, "drop");
+        let (tx, rx) = sync_channel(1);
+        drop(ReplySlot {
+            tx: Some(tx),
+            pulse: pulse.clone(),
+        });
+        assert_eq!(registry.counter_value("serve.drop.lost"), Some(1));
+        let outcome = ServeTicket { rx, lineage: 1 }.wait();
+        assert!(
+            matches!(&outcome, ServeOutcome::Failed { error } if error.contains("request lost")),
+            "{outcome:?}"
+        );
+        let accounting = LineageAccounting::read(&pulse);
+        assert_eq!(accounting.terminals(), 0, "a loss is no terminal outcome");
+        assert!(!accounting.is_conserved());
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use epoch::EpochCell;
 pub use front::{
     ModelSlot, Rejection, ServeConfig, ServeFront, ServeOutcome, ServeSummary, ServeTicket,
 };
-pub use lineage::{ConservationLedger, LineageAccounting};
-pub use metrics::ServePulse;
+pub use lineage::LineageAccounting;
+pub use metrics::{FrontCounter, ServePulse};
 pub use queue::ShardQueue;
 pub use supervise::{PanicRecord, ShardSlot, ShardState, SupervisorConfig};

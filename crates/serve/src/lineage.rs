@@ -4,69 +4,28 @@
 //! The front door promises that admission is the only place a request
 //! can silently not-happen — once `submit` returns a ticket, the
 //! request *will* resolve, even if the shard holding it panics, is
-//! fenced out as wedged, or is retired. The [`ConservationLedger`]
-//! makes that promise checkable: `submit` counts an admission, every
-//! resolution path counts exactly one terminal, and a reply slot that
-//! is dropped without resolving counts a **loss** (which is a bug, and
-//! surfaces as `NITRO114` at shutdown). The chaos harness
-//! (`chaos_serve_report`) gates on [`LineageAccounting::is_conserved`]
-//! after every campaign.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! fenced out as wedged, or is retired. [`LineageAccounting`] makes that
+//! promise checkable. It is a read of the front's `serve.<fn>.*`
+//! counters ([`ServePulse`]): `submit` counts an admission, the reply
+//! slot's `resolve` counts each terminal outcome (and is the only place
+//! one is counted), and a reply slot dropped without resolving counts a
+//! **loss** (a bug, which surfaces as `NITRO114` at shutdown). The chaos
+//! harness (`chaos_serve_report`) gates on
+//! [`LineageAccounting::is_conserved`] after every campaign.
 
 use serde::Serialize;
 
-/// Lock-free terminal-outcome counters for one front door. Updated on
-/// the admission and resolution paths; snapshot once the workers have
-/// drained (a mid-flight snapshot legitimately shows
-/// `admitted > terminals` for requests still in queues).
-#[derive(Debug, Default)]
-pub struct ConservationLedger {
-    /// Requests admitted past both admission gates.
-    pub admitted: AtomicU64,
-    /// Resolved: dispatched and completed.
-    pub served: AtomicU64,
-    /// Resolved: shed because the deadline expired while queued.
-    pub shed_expired: AtomicU64,
-    /// Resolved: shed because the remaining budget could not beat the
-    /// service estimate.
-    pub shed_hopeless: AtomicU64,
-    /// Resolved: drained off a dead shard with nowhere live to go.
-    pub shed_failover: AtomicU64,
-    /// Resolved: dispatch failed (cascade exhausted).
-    pub failed: AtomicU64,
-    /// Resolved: quarantined as a poison pill after killing shards.
-    pub quarantined: AtomicU64,
-    /// Reply slots dropped without resolving — always a bug
-    /// (`NITRO114`).
-    pub lost: AtomicU64,
-}
+use crate::metrics::ServePulse;
 
-impl ConservationLedger {
-    /// A fresh ledger with every counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot the counters. Meaningful as a conservation check only
-    /// once no request is in flight (after shutdown's final sweep).
-    pub fn snapshot(&self) -> LineageAccounting {
-        LineageAccounting {
-            admitted: self.admitted.load(Ordering::SeqCst),
-            served: self.served.load(Ordering::SeqCst),
-            shed_expired: self.shed_expired.load(Ordering::SeqCst),
-            shed_hopeless: self.shed_hopeless.load(Ordering::SeqCst),
-            shed_failover: self.shed_failover.load(Ordering::SeqCst),
-            failed: self.failed.load(Ordering::SeqCst),
-            quarantined: self.quarantined.load(Ordering::SeqCst),
-            lost: self.lost.load(Ordering::SeqCst),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`ConservationLedger`], carried in the
+/// A read of one front's terminal-outcome counters, carried in the
 /// [`ServeSummary`](crate::ServeSummary) and serialized by the chaos
 /// harness.
+///
+/// A conservation check only once no request is in flight (after
+/// shutdown's final sweep). Mid-flight, requests still queued make
+/// `admitted` exceed the terminal sum, and since admission is counted
+/// after the push, a request can resolve before its admission is
+/// counted: the read can be off in either direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LineageAccounting {
     /// Requests admitted past both admission gates.
@@ -88,6 +47,20 @@ pub struct LineageAccounting {
 }
 
 impl LineageAccounting {
+    /// Read a front's counters.
+    pub fn read(pulse: &ServePulse) -> Self {
+        Self {
+            admitted: pulse.admitted.value(),
+            served: pulse.served.value(),
+            shed_expired: pulse.shed_expired.value(),
+            shed_hopeless: pulse.shed_hopeless.value(),
+            shed_failover: pulse.shed_failover.value(),
+            failed: pulse.failed.value(),
+            quarantined: pulse.poison_quarantined.value(),
+            lost: pulse.lost.value(),
+        }
+    }
+
     /// Sum of every terminal outcome.
     pub fn terminals(&self) -> u64 {
         self.served
@@ -135,30 +108,46 @@ impl LineageAccounting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nitro_trace::MetricsRegistry;
 
     #[test]
     fn conservation_requires_exactly_one_terminal_per_admission() {
-        let ledger = ConservationLedger::new();
-        ledger.admitted.fetch_add(3, Ordering::SeqCst);
-        ledger.served.fetch_add(2, Ordering::SeqCst);
-        let mid = ledger.snapshot();
+        let pulse = ServePulse::register(&MetricsRegistry::with_stripes(2), "fn");
+        pulse.admitted.add(3);
+        pulse.served.add(2);
+        let mid = LineageAccounting::read(&pulse);
         assert!(!mid.is_conserved(), "one request still unresolved");
         assert_eq!(mid.violations().len(), 1);
 
-        ledger.shed_failover.fetch_add(1, Ordering::SeqCst);
-        let done = ledger.snapshot();
+        pulse.shed_failover.inc();
+        let done = LineageAccounting::read(&pulse);
         assert!(done.is_conserved(), "{:?}", done.violations());
         assert!(done.violations().is_empty());
     }
 
     #[test]
     fn a_lost_request_is_a_violation_even_when_counts_balance() {
-        let ledger = ConservationLedger::new();
-        ledger.admitted.fetch_add(1, Ordering::SeqCst);
-        ledger.served.fetch_add(1, Ordering::SeqCst);
-        ledger.lost.fetch_add(1, Ordering::SeqCst);
-        let snap = ledger.snapshot();
+        let pulse = ServePulse::register(&MetricsRegistry::with_stripes(2), "fn");
+        pulse.admitted.inc();
+        pulse.served.inc();
+        pulse.lost.inc();
+        let snap = LineageAccounting::read(&pulse);
         assert!(!snap.is_conserved());
         assert!(snap.violations()[0].contains("dropped without"));
+    }
+
+    #[test]
+    fn a_read_counts_only_what_followed_registration() {
+        let registry = MetricsRegistry::with_stripes(2);
+        let first = ServePulse::register(&registry, "fn");
+        first.admitted.add(2);
+        first.served.add(2);
+        let second = ServePulse::register(&registry, "fn");
+        second.admitted.inc();
+        second.poison_quarantined.inc();
+        let read = LineageAccounting::read(&second);
+        assert_eq!((read.admitted, read.served, read.quarantined), (1, 0, 1));
+        assert!(read.is_conserved());
+        assert_eq!(registry.counter_value("serve.fn.admitted"), Some(3));
     }
 }

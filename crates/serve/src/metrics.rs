@@ -1,57 +1,96 @@
-//! The `serve.*` metric bundle: one counter per front-door decision,
-//! one sketch per latency axis.
+//! The `serve.*` metric bundle: one counter per front-door event, one
+//! sketch per latency axis. It is the one place a front counts
+//! anything; the lineage accounting and the shutdown summary read it.
 //!
-//! Registered once at startup (like the guard's `guard.<fn>.*`
-//! handles), recorded lock-free on every decision point. Metric names follow the `serve.<fn>.<event>` convention so
+//! Registered when a front starts, recorded lock-free at every decision
+//! point. Metric names follow the `serve.<fn>.<event>` convention so
 //! [`nitro_pulse::PulseAlert::function`] parses them and SLOs can
 //! target them (`serve.<fn>.e2e_latency_ns` p99, shed-rate windows, …).
+//! A [`FrontCounter`] reads relative to its value at registration, so a
+//! front counts only its own events on a registry an earlier front of
+//! the same function counted into; two fronts of one function running
+//! at once on one registry merge, as guards of one function do.
 
 use std::sync::Arc;
 
 use nitro_trace::{Counter, Gauge, MetricsRegistry, Sketch};
 
+/// One `serve.<fn>.*` counter, read as the events counted since this
+/// front registered it.
+#[derive(Debug)]
+pub struct FrontCounter {
+    counter: Counter,
+    base: u64,
+}
+
+impl FrontCounter {
+    /// Add 1 (lock-free).
+    pub fn inc(&self) {
+        self.counter.inc();
+    }
+
+    /// Add `delta`.
+    pub fn add(&self, delta: u64) {
+        self.counter.add(delta);
+    }
+
+    /// Events counted since registration.
+    pub fn value(&self) -> u64 {
+        self.counter.value().saturating_sub(self.base)
+    }
+}
+
 /// Lock-free handles to every `serve.<fn>.*` metric.
 #[derive(Debug)]
 pub struct ServePulse {
     /// Requests admitted past both admission gates.
-    pub admitted: Counter,
+    pub admitted: FrontCounter,
     /// Rejected: tenant token bucket empty.
-    pub rejected_tenant: Counter,
-    /// Rejected: shard queue over the priority's watermark.
-    pub rejected_queue: Counter,
+    pub rejected_tenant: FrontCounter,
+    /// Rejected: shard queue over the priority's watermark, or closing.
+    pub rejected_queue: FrontCounter,
+    /// Rejected: every shard dead or retired.
+    pub rejected_no_shard: FrontCounter,
     /// Rejected: deadline already expired at submission.
-    pub rejected_expired: Counter,
-    /// Shed at dequeue: deadline expired while queued (before dispatch).
-    pub shed_expired: Counter,
+    pub rejected_expired: FrontCounter,
+    /// Resolved: dispatched and completed.
+    pub served: FrontCounter,
+    /// Resolved: dispatch failed (cascade exhausted).
+    pub failed: FrontCounter,
+    /// Reply slots dropped without resolving — always a bug (`NITRO114`).
+    pub lost: FrontCounter,
+    /// Shed (at dequeue or on re-placement): deadline expired while
+    /// queued, before dispatch.
+    pub shed_expired: FrontCounter,
     /// Shed at dequeue: remaining budget below the service-time estimate.
-    pub shed_hopeless: Counter,
+    pub shed_hopeless: FrontCounter,
     /// Served from the cached-regime tier.
-    pub degrade_cached: Counter,
+    pub degrade_cached: FrontCounter,
     /// Served from the default-only tier.
-    pub degrade_default: Counter,
+    pub degrade_default: FrontCounter,
     /// Admitted requests that finished after their deadline (the bench
     /// gate requires this to stay 0).
-    pub deadline_violations: Counter,
+    pub deadline_violations: FrontCounter,
     /// Panics that escaped a shard's dispatch (must stay 0; the guard
     /// catches variant panics).
-    pub panics: Counter,
+    pub panics: FrontCounter,
     /// Model hot-swap installs performed by workers.
-    pub hotswap_installs: Counter,
+    pub hotswap_installs: FrontCounter,
     /// Worker deaths observed by the supervisor (panic escaped and the
     /// shard went down).
-    pub shard_deaths: Counter,
+    pub shard_deaths: FrontCounter,
     /// Supervisor restarts (dead-shard revivals plus wedged-worker
     /// replacements).
-    pub shard_restarts: Counter,
+    pub shard_restarts: FrontCounter,
     /// Shards retired after exhausting their restart budget.
-    pub shard_retired: Counter,
+    pub shard_retired: FrontCounter,
     /// Requests quarantined as poison pills.
-    pub poison_quarantined: Counter,
+    pub poison_quarantined: FrontCounter,
     /// Requests shed during failover (drained off a dead shard with no
     /// live shard to take them).
-    pub shed_failover: Counter,
+    pub shed_failover: FrontCounter,
     /// Jobs drained off dead or wedged shards for re-placement.
-    pub drained: Counter,
+    pub drained: FrontCounter,
     /// Current admission tighten level (0 = wide open).
     pub tightened: Gauge,
     /// Dispatch latency (dequeue → completion), ns.
@@ -65,12 +104,22 @@ pub struct ServePulse {
 impl ServePulse {
     /// Register every `serve.<function>.*` metric.
     pub fn register(registry: &MetricsRegistry, function: &str) -> Arc<Self> {
-        let c = |event: &str| registry.counter(&format!("serve.{function}.{event}"));
+        let c = |event: &str| {
+            let counter = registry.counter(&format!("serve.{function}.{event}"));
+            FrontCounter {
+                base: counter.value(),
+                counter,
+            }
+        };
         Arc::new(Self {
             admitted: c("admitted"),
             rejected_tenant: c("rejected_tenant"),
             rejected_queue: c("rejected_queue"),
+            rejected_no_shard: c("rejected_no_shard"),
             rejected_expired: c("rejected_expired"),
+            served: c("served"),
+            failed: c("failed"),
+            lost: c("lost"),
             shed_expired: c("shed_expired"),
             shed_hopeless: c("shed_hopeless"),
             degrade_cached: c("degrade_cached"),

@@ -151,6 +151,48 @@ fn wall_clock_requests_are_served_within_budget() {
 }
 
 #[test]
+fn a_second_front_on_one_registry_accounts_only_its_own_requests() {
+    let registry = MetricsRegistry::new();
+    let (clock, _hand) = ServeClock::manual();
+    let run = |requests: u32| {
+        let front = ServeFront::start(
+            test_config(),
+            GuardPolicy::default(),
+            clock.clone(),
+            Some(&registry),
+            |_| toy_cv(&Context::new(), Arc::new(AtomicU64::new(0)), None),
+        )
+        .unwrap();
+        for i in 0..requests {
+            let ticket = front
+                .submit(
+                    f64::from(i),
+                    meta(&clock, i, Priority::Standard, u64::MAX / 2),
+                )
+                .expect("admitted");
+            assert!(matches!(ticket.wait(), ServeOutcome::Served { .. }));
+        }
+        front.shutdown()
+    };
+
+    let first = run(3);
+    assert_eq!(first.accounting.admitted, 3);
+    let second = run(2);
+    assert!(
+        second.accounting.is_conserved(),
+        "{:?}",
+        second.accounting.violations()
+    );
+    assert_eq!(
+        (second.accounting.admitted, second.accounting.served),
+        (2, 2)
+    );
+    // The registry keeps the running totals across both fronts.
+    assert_eq!(registry.counter_value("serve.toy.admitted"), Some(5));
+    assert_eq!(registry.counter_value("serve.toy.served"), Some(5));
+}
+
+#[test]
 fn expired_at_the_door_is_rejected_before_costing_anything() {
     let runs = Arc::new(AtomicU64::new(0));
     let registry = MetricsRegistry::new();

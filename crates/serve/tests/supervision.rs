@@ -1,7 +1,7 @@
 //! Self-healing tests: shard death and restart, poison-pill
-//! quarantine, restart-budget retirement, wedged-worker replacement,
-//! and the legacy (unsupervised) panic path — all under a manual
-//! clock, so backoff and staleness arithmetic is deterministic. The
+//! quarantine, restart-budget retirement and wedged-worker replacement
+//! — all under a manual clock, so backoff and staleness arithmetic is
+//! deterministic. The
 //! supervisor polls on wall time but *decides* on serve-clock time,
 //! which is what makes these tests possible: a frozen manual clock
 //! freezes restart backoff until the test advances the hand.
@@ -105,7 +105,7 @@ fn dead_shard_restarts_and_recovers() {
     assert_eq!(summary.shard_deaths, 1);
     assert_eq!(summary.shard_restarts, 1);
     assert_eq!(summary.shards_retired, 0);
-    assert_eq!(summary.poison_quarantined, 0);
+    assert_eq!(summary.accounting.quarantined, 0);
     assert_eq!(summary.workers_failed, 0);
     assert!(
         summary.accounting.is_conserved(),
@@ -151,7 +151,6 @@ fn poison_pill_is_quarantined_after_two_kills() {
     let summary = front.shutdown();
     assert_eq!(summary.escaped_panics, 2);
     assert_eq!(summary.shard_deaths, 2);
-    assert_eq!(summary.poison_quarantined, 1);
     assert_eq!(summary.workers_failed, 0);
     assert!(
         summary.accounting.is_conserved(),
@@ -180,6 +179,7 @@ fn a_quarantined_poison_pill_leaves_no_killing_shard_up() {
     // armed, before the request resolves: a lockstep driver that reads
     // the shard states right after `wait()` (and then advances the
     // clock past the backoff) must never see a killing shard still Up.
+    silence_injected_panics();
     for iteration in 0..300 {
         let (clock, _hand) = ServeClock::manual();
         let front = ServeFront::start(
@@ -206,6 +206,7 @@ fn a_quarantined_poison_pill_leaves_no_killing_shard_up() {
 
 #[test]
 fn restart_budget_exhausts_into_retirement() {
+    let registry = MetricsRegistry::new();
     let (clock, hand) = ServeClock::manual();
     let sup = SupervisorConfig {
         restart_budget: 1,
@@ -216,7 +217,7 @@ fn restart_budget_exhausts_into_retirement() {
         supervised_config(1, sup),
         GuardPolicy::default(),
         clock.clone(),
-        None,
+        Some(&registry),
         |_| grenade_cv(&Context::new(), "retire"),
     )
     .unwrap();
@@ -252,6 +253,15 @@ fn restart_budget_exhausts_into_retirement() {
     );
     assert_eq!(summary.accounting.admitted, 2);
     assert_eq!(summary.accounting.shed_failover, 2);
+    // The one rejection is counted once, under its own reason.
+    assert_eq!(
+        registry.counter_value("serve.retire.rejected_no_shard"),
+        Some(1)
+    );
+    assert_eq!(
+        registry.counter_value("serve.retire.rejected_queue"),
+        Some(0)
+    );
     assert!(
         summary.diagnostics.iter().any(|d| d.code == "NITRO111"),
         "retirement must be audited: {:?}",

@@ -139,12 +139,16 @@ const SERVE: Expected = Expected {
         ("serve.pin.degrade_cached", 0),
         ("serve.pin.degrade_default", 0),
         ("serve.pin.drained", 0),
+        ("serve.pin.failed", 0),
         ("serve.pin.hotswap_installs", 1),
+        ("serve.pin.lost", 0),
         ("serve.pin.panics", 1),
         ("serve.pin.poison_quarantined", 0),
         ("serve.pin.rejected_expired", 1),
+        ("serve.pin.rejected_no_shard", 0),
         ("serve.pin.rejected_queue", 0),
         ("serve.pin.rejected_tenant", 0),
+        ("serve.pin.served", 4),
         ("serve.pin.shard_deaths", 1),
         ("serve.pin.shard_restarts", 1),
         ("serve.pin.shard_retired", 0),
