@@ -25,8 +25,10 @@
 //!   ([`PulseAlert`](nitro_pulse::PulseAlert) pages) tightens admission
 //!   *before* the watchdog has to roll a promotion back.
 //!
-//! Every decision point emits a `serve.<fn>.*` pulse metric
-//! ([`ServePulse`]) and the configuration is audited at startup
+//! Every event is counted once, in a `serve.<fn>.*` pulse metric
+//! ([`ServePulse`]); the request-lineage conservation check
+//! ([`LineageAccounting`]) and the shutdown summary are reads of those
+//! counters. The configuration is audited at startup
 //! (`NITRO100`–`NITRO104`, [`audit_serve_config`]). See the repository
 //! README's "Serving & overload" section for the architecture diagram
 //! and the bench harness (`serve_report`) that load-tests all of it.

@@ -71,8 +71,8 @@ pub struct ServePulse {
     /// Admitted requests that finished after their deadline (the bench
     /// gate requires this to stay 0).
     pub deadline_violations: FrontCounter,
-    /// Panics that escaped a shard's dispatch (must stay 0; the guard
-    /// catches variant panics).
+    /// Panics that escaped a shard's dispatch into the worker's backstop
+    /// (the guard absorbs variant panics; each escape kills its shard).
     pub panics: FrontCounter,
     /// Model hot-swap installs performed by workers.
     pub hotswap_installs: FrontCounter,

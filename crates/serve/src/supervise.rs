@@ -137,9 +137,9 @@ impl ShardSlot {
     }
 }
 
-/// One escaped panic, attributed to the request that caused it — the
-/// accounting the legacy path lacked (a bare counter said *that* a
-/// shard panicked, never *which request* did it).
+/// One escaped panic, attributed to the request that caused it: the
+/// `serve.<fn>.panics` counter says *that* a shard panicked, the record
+/// says *which request* did it.
 #[derive(Debug, Clone, Serialize)]
 pub struct PanicRecord {
     /// The shard whose dispatch panicked.
