@@ -925,11 +925,10 @@ fn handle_escaped_panic<I: Send + Sync + 'static>(
     job.kills += 1;
     let kills = job.kills;
     if kills >= sup.poison_kill_threshold {
-        let tenant = job.meta.tenant.0;
         inner.diagnose(diag_poison_quarantine(
             &inner.function,
             job.lineage,
-            tenant,
+            job.meta.tenant.0,
             kills,
         ));
         job.reply.resolve(ServeOutcome::Quarantined { kills });

@@ -135,19 +135,4 @@ mod tests {
         assert!(!snap.is_conserved());
         assert!(snap.violations()[0].contains("dropped without"));
     }
-
-    #[test]
-    fn a_read_counts_only_what_followed_registration() {
-        let registry = MetricsRegistry::with_stripes(2);
-        let first = ServePulse::register(&registry, "fn");
-        first.admitted.add(2);
-        first.served.add(2);
-        let second = ServePulse::register(&registry, "fn");
-        second.admitted.inc();
-        second.poison_quarantined.inc();
-        let read = LineageAccounting::read(&second);
-        assert_eq!((read.admitted, read.served, read.quarantined), (1, 0, 1));
-        assert!(read.is_conserved());
-        assert_eq!(registry.counter_value("serve.fn.admitted"), Some(3));
-    }
 }
