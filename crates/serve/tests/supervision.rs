@@ -176,7 +176,7 @@ fn poison_pill_is_quarantined_after_two_kills() {
 #[test]
 fn a_quarantined_poison_pill_leaves_no_killing_shard_up() {
     // The killing worker marks its shard Dead, with the restart backoff
-    // armed, before the request resolves: a lockstep driver that reads
+    // armed, before the request resolves: a lockstep caller that reads
     // the shard states right after `wait()` (and then advances the
     // clock past the backoff) must never see a killing shard still Up.
     silence_injected_panics();
