@@ -66,7 +66,7 @@ fn main() {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     let cfg = nitro_bench::device();
     println!("== Extension: block-size tuning as a variant family ==");
 

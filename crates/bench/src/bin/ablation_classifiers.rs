@@ -17,7 +17,7 @@ fn main() {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     println!("== Ablation: classifier choice (Table II `classifier`) ==");
     if spec.small {
         println!("(NITRO_SCALE=small — miniature collections)");

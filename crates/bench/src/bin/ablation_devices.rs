@@ -7,7 +7,7 @@
 //! for per-device tuning, quantified.
 
 use nitro_bench::error::{exit_on_error, BenchResult};
-use nitro_bench::{cached_table, pct, SuiteSpec};
+use nitro_bench::{cached_table, pct, spmv_sets, SuiteSpec};
 use nitro_core::Context;
 use nitro_simt::DeviceConfig;
 use nitro_tuner::{evaluate_model, Autotuner};
@@ -22,21 +22,13 @@ fn main() {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     println!("== Ablation: per-device tuning (Fermi vs Kepler) ==");
     if spec.small {
         println!("(NITRO_SCALE=small — miniature collections)");
     }
-    let scale = if spec.small { "small" } else { "full" };
 
-    let (train, test) = if spec.small {
-        nitro_sparse::collection::spmv_small_sets(spec.seed)
-    } else {
-        (
-            nitro_sparse::collection::spmv_training_set(spec.seed),
-            nitro_sparse::collection::spmv_test_set(spec.seed),
-        )
-    };
+    let (train, test) = spmv_sets(spec);
 
     let devices = [DeviceConfig::fermi_c2050(), DeviceConfig::kepler_k20()];
     let mut models = Vec::new();
@@ -45,12 +37,17 @@ fn run() -> BenchResult<()> {
         let ctx = Context::new();
         let mut cv = nitro_sparse::spmv::build_code_variant(&ctx, cfg);
         let train_table = cached_table(
-            &format!("spmv-dev{d}-{scale}-train"),
+            &spec.tag(&format!("spmv-dev{d}"), "train"),
             &cv,
             &train,
             spec.cache,
         );
-        let test_table = cached_table(&format!("spmv-dev{d}-{scale}-test"), &cv, &test, spec.cache);
+        let test_table = cached_table(
+            &spec.tag(&format!("spmv-dev{d}"), "test"),
+            &cv,
+            &test,
+            spec.cache,
+        );
         Autotuner::new().tune_from_table(&mut cv, &train_table)?;
         models.push(cv.export_artifact()?.model);
         test_tables.push(test_table);

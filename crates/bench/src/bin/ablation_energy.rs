@@ -9,7 +9,7 @@
 //! reports what each model trades away.
 
 use nitro_bench::error::{exit_on_error, BenchResult};
-use nitro_bench::{cached_table, pct, SuiteSpec};
+use nitro_bench::{cached_table, pct, spmv_sets, SuiteSpec};
 use nitro_core::Context;
 use nitro_sparse::spmv::{build_code_variant_metric, SpmvMetric};
 use nitro_tuner::{evaluate_model, Autotuner, ProfileTable};
@@ -19,19 +19,11 @@ fn main() {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     let cfg = nitro_bench::device();
     println!("== Extension: energy-objective tuning (paper §II-B) ==");
-    let scale = if spec.small { "small" } else { "full" };
 
-    let (train, test) = if spec.small {
-        nitro_sparse::collection::spmv_small_sets(spec.seed)
-    } else {
-        (
-            nitro_sparse::collection::spmv_training_set(spec.seed),
-            nitro_sparse::collection::spmv_test_set(spec.seed),
-        )
-    };
+    let (train, test) = spmv_sets(spec);
 
     // Profile under each metric; variant set and features are identical,
     // only the objective scalar differs.
@@ -40,12 +32,17 @@ fn run() -> BenchResult<()> {
         let ctx = Context::new();
         let mut cv = build_code_variant_metric(&ctx, &cfg, metric);
         let train_table = cached_table(
-            &format!("spmv-{tag}-{scale}-train"),
+            &spec.tag(&format!("spmv-{tag}"), "train"),
             &cv,
             &train,
             spec.cache,
         );
-        let test_table = cached_table(&format!("spmv-{tag}-{scale}-test"), &cv, &test, spec.cache);
+        let test_table = cached_table(
+            &spec.tag(&format!("spmv-{tag}"), "test"),
+            &cv,
+            &test,
+            spec.cache,
+        );
         Autotuner::new().tune_from_table(&mut cv, &train_table)?;
         tables.push((metric, test_table, cv.export_artifact()?.model));
     }

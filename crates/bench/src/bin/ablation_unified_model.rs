@@ -9,7 +9,8 @@
 //! vector. Compare against per-device models (upper bound) and stale
 //! cross-device models (lower bound, from `ablation_devices`).
 
-use nitro_bench::{cached_table, pct, SuiteSpec};
+use nitro_bench::error::{exit_on_error, BenchResult};
+use nitro_bench::{cached_table, pct, spmv_sets, SuiteSpec};
 use nitro_core::{ClassifierConfig, Context, TrainedModel};
 use nitro_ml::Dataset;
 use nitro_simt::DeviceConfig;
@@ -39,18 +40,14 @@ fn augment(table: &ProfileTable, cfg: &DeviceConfig) -> ProfileTable {
 }
 
 fn main() {
-    let spec = SuiteSpec::from_env();
-    println!("== Extension: one model across devices via implicit architectural features ==");
-    let scale = if spec.small { "small" } else { "full" };
+    exit_on_error(run());
+}
 
-    let (train, test) = if spec.small {
-        nitro_sparse::collection::spmv_small_sets(spec.seed)
-    } else {
-        (
-            nitro_sparse::collection::spmv_training_set(spec.seed),
-            nitro_sparse::collection::spmv_test_set(spec.seed),
-        )
-    };
+fn run() -> BenchResult<()> {
+    let spec = SuiteSpec::from_env()?;
+    println!("== Extension: one model across devices via implicit architectural features ==");
+
+    let (train, test) = spmv_sets(spec);
     let devices = [DeviceConfig::fermi_c2050(), DeviceConfig::kepler_k20()];
 
     // Per-device profile tables (shared with ablation_devices via cache).
@@ -60,13 +57,13 @@ fn main() {
         let ctx = Context::new();
         let cv = nitro_sparse::spmv::build_code_variant(&ctx, cfg);
         train_tables.push(cached_table(
-            &format!("spmv-dev{d}-{scale}-train"),
+            &spec.tag(&format!("spmv-dev{d}"), "train"),
             &cv,
             &train,
             spec.cache,
         ));
         test_tables.push(cached_table(
-            &format!("spmv-dev{d}-{scale}-test"),
+            &spec.tag(&format!("spmv-dev{d}"), "test"),
             &cv,
             &test,
             spec.cache,
@@ -128,4 +125,5 @@ fn main() {
 
     println!("\nOne model serves both devices once the architecture is a feature —");
     println!("recovering most of the per-device performance and beating stale models.");
+    Ok(())
 }

@@ -25,7 +25,7 @@ use nitro_audit::{
     render_text, ProfileAuditConfig, Severity, TuningGraph,
 };
 use nitro_bench::error::{ensure_dir, exit_on_error, to_json_pretty, write_file, BenchResult};
-use nitro_bench::{cached_table, device, SuiteSpec};
+use nitro_bench::{cached_table, for_each_suite, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::diag::registry::codes;
 use nitro_core::{CodeVariant, Context, Diagnostic, FnFeature, FnVariant, Predicate};
 use nitro_tuner::Autotuner;
@@ -52,10 +52,9 @@ fn audit_suite<I: Send + Sync>(
     spec: SuiteSpec,
     deep: bool,
 ) -> SuiteAudit {
-    let scale = if spec.small { "small" } else { "full" };
     let mut diagnostics = lint_registration(cv, Some(train.len()));
 
-    let table = cached_table(&format!("{name}-{scale}-train"), cv, train, spec.cache);
+    let table = cached_table(&spec.tag(name, "train"), cv, train, spec.cache);
     diagnostics.extend(analyze_profile(
         &table.audit_view(name),
         &ProfileAuditConfig::default(),
@@ -109,6 +108,28 @@ fn audit_suite<I: Send + Sync>(
     }
 }
 
+struct Auditor {
+    spec: SuiteSpec,
+    deep: bool,
+}
+
+impl SuiteVisitor for Auditor {
+    type Output = SuiteAudit;
+    fn visit<I: Send + Sync + 'static>(
+        &mut self,
+        suite: Suite<'_, I>,
+    ) -> BenchResult<Self::Output> {
+        let mut cv = (suite.build)(&Context::new());
+        Ok(audit_suite(
+            suite.name,
+            &mut cv,
+            suite.train,
+            self.spec,
+            self.deep,
+        ))
+    }
+}
+
 /// A deliberately-broken registration: variant 1's predicate constraints
 /// are jointly unsatisfiable, so the deep pass must prove it statically
 /// dead (`NITRO080`). Exercising the analyzer against a known-bad input
@@ -143,75 +164,8 @@ fn main() {
 
 fn run() -> BenchResult<()> {
     let deep = std::env::args().any(|a| a == "--deep");
-    let spec = SuiteSpec::from_env();
-    let cfg = device();
-    let mut audits = Vec::new();
-
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_sparse::spmv::build_code_variant(&ctx, &cfg);
-        let (train, _) = if spec.small {
-            nitro_sparse::collection::spmv_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sparse::collection::spmv_training_set(spec.seed),
-                nitro_sparse::collection::spmv_test_set(spec.seed),
-            )
-        };
-        audits.push(audit_suite("spmv", &mut cv, &train, spec, deep));
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_solvers::variants::build_code_variant(&ctx, &cfg);
-        let (train, _) = if spec.small {
-            nitro_solvers::collection::solver_small_sets(spec.seed)
-        } else {
-            (
-                nitro_solvers::collection::solver_training_set(spec.seed),
-                nitro_solvers::collection::solver_test_set(spec.seed),
-            )
-        };
-        audits.push(audit_suite("solvers", &mut cv, &train, spec, deep));
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_graph::bfs::build_code_variant(&ctx, &cfg);
-        let (train, _) = if spec.small {
-            nitro_graph::collection::bfs_small_sets(spec.seed)
-        } else {
-            (
-                nitro_graph::collection::bfs_training_set(spec.seed),
-                nitro_graph::collection::bfs_test_set(spec.seed),
-            )
-        };
-        audits.push(audit_suite("bfs", &mut cv, &train, spec, deep));
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_histogram::variants::build_code_variant(&ctx, &cfg);
-        let (train, _) = if spec.small {
-            nitro_histogram::data::hist_small_sets(spec.seed)
-        } else {
-            (
-                nitro_histogram::data::hist_training_set(spec.seed),
-                nitro_histogram::data::hist_test_set(spec.seed),
-            )
-        };
-        audits.push(audit_suite("histogram", &mut cv, &train, spec, deep));
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_sort::variants::build_code_variant(&ctx, &cfg);
-        let (train, _) = if spec.small {
-            nitro_sort::keys::sort_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sort::keys::sort_training_set(spec.seed),
-                nitro_sort::keys::sort_test_set(spec.seed),
-            )
-        };
-        audits.push(audit_suite("sort", &mut cv, &train, spec, deep));
-    }
+    let spec = SuiteSpec::from_env()?;
+    let audits = for_each_suite(spec, &mut Auditor { spec, deep })?;
 
     // The analyzer self-test rides along in --deep runs. Its findings are
     // *expected* (that is the point) and excluded from the exit code; the

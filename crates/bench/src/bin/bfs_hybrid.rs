@@ -15,19 +15,18 @@ fn main() {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     let cfg = device();
     println!("== BFS: Nitro-tuned vs the dynamic Hybrid variant (paper §V-A) ==");
     if spec.small {
         println!("(NITRO_SCALE=small — miniature collections)");
     }
-    let scale = if spec.small { "small" } else { "full" };
 
     let ctx = Context::new();
     let mut cv = nitro_graph::bfs::build_code_variant(&ctx, &cfg);
     let (train, test) = bfs_sets(spec);
-    let test_table = cached_table(&format!("bfs-{scale}-test"), &cv, &test, spec.cache);
-    let train_table = cached_table(&format!("bfs-{scale}-train"), &cv, &train, spec.cache);
+    let test_table = cached_table(&spec.tag("bfs", "test"), &cv, &test, spec.cache);
+    let train_table = cached_table(&spec.tag("bfs", "train"), &cv, &train, spec.cache);
     Autotuner::new().tune_from_table(&mut cv, &train_table)?;
     let model = cv.export_artifact()?.model;
     let nitro = evaluate_model(&test_table, &model, cv.default_variant());

@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use nitro_bench::error::{exit_on_error, to_json_pretty, write_file, BenchResult};
-use nitro_bench::{device, pct, SuiteSpec};
+use nitro_bench::{for_each_suite, pct, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::{CodeVariant, Context};
 use nitro_guard::{inject_failures, GuardPolicy, GuardedVariant};
 use nitro_simt::{install_fault_plan, silence_injected_panics, uninstall_fault_plan, FaultPlan};
@@ -348,14 +348,30 @@ fn summarize(o: &ChaosOutcome) {
     }
 }
 
+struct Chaos {
+    seed: u64,
+    dir: PathBuf,
+}
+
+impl SuiteVisitor for Chaos {
+    type Output = ChaosOutcome;
+    fn visit<I: Send + Sync + 'static>(
+        &mut self,
+        suite: Suite<'_, I>,
+    ) -> BenchResult<Self::Output> {
+        let cv = (suite.build)(&Context::new());
+        let (train, test) = (suite.train, suite.test);
+        chaos_suite(suite.name, cv, train, test, &self.dir, self.seed)
+    }
+}
+
 fn main() {
     exit_on_error(run());
 }
 
 fn run() -> BenchResult<()> {
     silence_injected_panics();
-    let spec = SuiteSpec::from_env();
-    let cfg = device();
+    let spec = SuiteSpec::from_env()?;
     let dir = out_dir();
     println!("== nitro-guard chaos report ==");
     if spec.small {
@@ -368,72 +384,8 @@ fn run() -> BenchResult<()> {
     );
     println!("artifacts under {}", dir.display());
 
-    let mut suites = Vec::new();
-    {
-        let ctx = Context::new();
-        let cv = nitro_sparse::spmv::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sparse::collection::spmv_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sparse::collection::spmv_training_set(spec.seed),
-                nitro_sparse::collection::spmv_test_set(spec.seed),
-            )
-        };
-        suites.push(chaos_suite("spmv", cv, &train, &test, &dir, spec.seed)?);
-    }
-    {
-        let ctx = Context::new();
-        let cv = nitro_solvers::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_solvers::collection::solver_small_sets(spec.seed)
-        } else {
-            (
-                nitro_solvers::collection::solver_training_set(spec.seed),
-                nitro_solvers::collection::solver_test_set(spec.seed),
-            )
-        };
-        suites.push(chaos_suite("solvers", cv, &train, &test, &dir, spec.seed)?);
-    }
-    {
-        let ctx = Context::new();
-        let cv = nitro_graph::bfs::build_code_variant(&ctx, &cfg);
-        let (train, test) = nitro_bench::bfs_sets(spec);
-        suites.push(chaos_suite("bfs", cv, &train, &test, &dir, spec.seed)?);
-    }
-    {
-        let ctx = Context::new();
-        let cv = nitro_histogram::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_histogram::data::hist_small_sets(spec.seed)
-        } else {
-            (
-                nitro_histogram::data::hist_training_set(spec.seed),
-                nitro_histogram::data::hist_test_set(spec.seed),
-            )
-        };
-        suites.push(chaos_suite(
-            "histogram",
-            cv,
-            &train,
-            &test,
-            &dir,
-            spec.seed,
-        )?);
-    }
-    {
-        let ctx = Context::new();
-        let cv = nitro_sort::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sort::keys::sort_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sort::keys::sort_training_set(spec.seed),
-                nitro_sort::keys::sort_test_set(spec.seed),
-            )
-        };
-        suites.push(chaos_suite("sort", cv, &train, &test, &dir, spec.seed)?);
-    }
+    let seed = spec.seed;
+    let suites = for_each_suite(spec, &mut Chaos { seed, dir })?;
 
     for s in &suites {
         summarize(s);

@@ -643,7 +643,7 @@ fn storm_run(plan: &ChaosPlan) -> BenchResult<PhaseBOutcome> {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     silence_injected_panics();
 
     // `NITRO_CHAOS_SEED` re-rolls the whole campaign; every gate must

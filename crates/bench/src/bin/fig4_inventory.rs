@@ -1,119 +1,58 @@
 //! Figure 4: the benchmark inventory — variants, features, and
 //! training/test set sizes for each of the five benchmarks.
 
-use nitro_bench::{bfs_sets, device, SuiteSpec};
+use nitro_bench::error::{exit_on_error, BenchResult};
+use nitro_bench::{device, for_each_suite, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::Context;
 
 fn main() {
-    let spec = SuiteSpec::from_env();
-    let cfg = device();
+    exit_on_error(run());
+}
+
+fn run() -> BenchResult<()> {
+    let spec = SuiteSpec::from_env()?;
     println!(
         "== Figure 4: benchmark inventory (device: {}) ==\n",
-        cfg.name
+        device().name
     );
     println!(
         "{:<10} {:>9} {:>9} {:>7} {:>7}  variants | features",
         "benchmark", "#variants", "#features", "#train", "#test"
     );
-
-    let ctx = Context::new();
-
-    {
-        let cv = nitro_sparse::spmv::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sparse::collection::spmv_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sparse::collection::spmv_training_set(spec.seed),
-                nitro_sparse::collection::spmv_test_set(spec.seed),
-            )
-        };
-        row(
-            "SpMV",
-            cv.variant_names(),
-            cv.feature_names(),
-            train.len(),
-            test.len(),
-        );
-    }
-    {
-        let cv = nitro_solvers::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_solvers::collection::solver_small_sets(spec.seed)
-        } else {
-            (
-                nitro_solvers::collection::solver_training_set(spec.seed),
-                nitro_solvers::collection::solver_test_set(spec.seed),
-            )
-        };
-        row(
-            "Solvers",
-            cv.variant_names(),
-            cv.feature_names(),
-            train.len(),
-            test.len(),
-        );
-    }
-    {
-        let cv = nitro_graph::bfs::build_code_variant(&ctx, &cfg);
-        let (train, test) = bfs_sets(spec);
-        row(
-            "BFS",
-            cv.variant_names(),
-            cv.feature_names(),
-            train.len(),
-            test.len(),
-        );
-    }
-    {
-        let cv = nitro_histogram::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_histogram::data::hist_small_sets(spec.seed)
-        } else {
-            (
-                nitro_histogram::data::hist_training_set(spec.seed),
-                nitro_histogram::data::hist_test_set(spec.seed),
-            )
-        };
-        row(
-            "Histogram",
-            cv.variant_names(),
-            cv.feature_names(),
-            train.len(),
-            test.len(),
-        );
-    }
-    {
-        let cv = nitro_sort::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sort::keys::sort_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sort::keys::sort_training_set(spec.seed),
-                nitro_sort::keys::sort_test_set(spec.seed),
-            )
-        };
-        row(
-            "Sort",
-            cv.variant_names(),
-            cv.feature_names(),
-            train.len(),
-            test.len(),
-        );
-    }
-
+    for_each_suite(spec, &mut Inventory)?;
     println!("\npaper counts: SpMV (54,100)  Solvers (26,100)  BFS (20,148)  Histogram (200,1291)  Sort (120,600)");
+    Ok(())
 }
 
-fn row(name: &str, variants: Vec<String>, features: Vec<String>, train: usize, test: usize) {
-    println!(
-        "{:<10} {:>9} {:>9} {:>7} {:>7}  {} | {}",
-        name,
-        variants.len(),
-        features.len(),
-        train,
-        test,
-        variants.join(", "),
-        features.join(", ")
-    );
+struct Inventory;
+
+impl SuiteVisitor for Inventory {
+    type Output = ();
+    fn visit<I: Send + Sync + 'static>(
+        &mut self,
+        suite: Suite<'_, I>,
+    ) -> BenchResult<Self::Output> {
+        // The figure names the benchmarks as the paper's table does.
+        let display = match suite.name {
+            "spmv" => "SpMV",
+            "solvers" => "Solvers",
+            "bfs" => "BFS",
+            "histogram" => "Histogram",
+            "sort" => "Sort",
+            other => other,
+        };
+        let cv = (suite.build)(&Context::new());
+        let (variants, features) = (cv.variant_names(), cv.feature_names());
+        println!(
+            "{:<10} {:>9} {:>9} {:>7} {:>7}  {} | {}",
+            display,
+            variants.len(),
+            features.len(),
+            suite.train.len(),
+            suite.test.len(),
+            variants.join(", "),
+            features.join(", ")
+        );
+        Ok(())
+    }
 }

@@ -10,7 +10,7 @@ fn main() {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     println!("== Figure 5: variant performance relative to exhaustive best ==");
     if spec.small {
         println!("(NITRO_SCALE=small — miniature collections)");

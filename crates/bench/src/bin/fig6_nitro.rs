@@ -20,7 +20,7 @@ fn main() {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     println!("== Figure 6: Nitro vs exhaustive search ==");
     if spec.small {
         println!("(NITRO_SCALE=small — miniature collections)");

@@ -8,7 +8,8 @@
 
 use nitro_bench::error::{exit_on_error, BenchResult};
 use nitro_bench::{
-    cached_table, device, incremental_curve_with_report, pct, phase_breakdown, SuiteSpec,
+    cached_table, for_each_suite, incremental_curve_with_report, pct, phase_breakdown, Suite,
+    SuiteSpec, SuiteVisitor,
 };
 use nitro_core::Context;
 use nitro_tuner::{evaluate_model, Autotuner, ProfileTable};
@@ -20,125 +21,68 @@ fn main() {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
-    let cfg = device();
+    let spec = SuiteSpec::from_env()?;
     println!("== Figure 7: incremental tuning (BvSB active learning) ==");
     if spec.small {
         println!("(NITRO_SCALE=small — miniature collections)");
     }
-    let scale = if spec.small { "small" } else { "full" };
-    let max_iters = if spec.small { 10 } else { MAX_ITERS };
-
-    // Each block: build the code variant + inputs, profile, run the sweep.
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_sparse::spmv::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sparse::collection::spmv_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sparse::collection::spmv_training_set(spec.seed),
-                nitro_sparse::collection::spmv_test_set(spec.seed),
-            )
-        };
-        let test_table = cached_table(&format!("spmv-{scale}-test"), &cv, &test, spec.cache);
-        report("spmv", &mut cv, &train, &test_table, max_iters)?;
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_solvers::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_solvers::collection::solver_small_sets(spec.seed)
-        } else {
-            (
-                nitro_solvers::collection::solver_training_set(spec.seed),
-                nitro_solvers::collection::solver_test_set(spec.seed),
-            )
-        };
-        let test_table = cached_table(&format!("solvers-{scale}-test"), &cv, &test, spec.cache);
-        report("solvers", &mut cv, &train, &test_table, max_iters)?;
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_graph::bfs::build_code_variant(&ctx, &cfg);
-        let (train, test) = nitro_bench::bfs_sets(spec);
-        let test_table = cached_table(&format!("bfs-{scale}-test"), &cv, &test, spec.cache);
-        report("bfs", &mut cv, &train, &test_table, max_iters)?;
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_histogram::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_histogram::data::hist_small_sets(spec.seed)
-        } else {
-            (
-                nitro_histogram::data::hist_training_set(spec.seed),
-                nitro_histogram::data::hist_test_set(spec.seed),
-            )
-        };
-        let test_table = cached_table(&format!("histogram-{scale}-test"), &cv, &test, spec.cache);
-        report("histogram", &mut cv, &train, &test_table, max_iters)?;
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_sort::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sort::keys::sort_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sort::keys::sort_training_set(spec.seed),
-                nitro_sort::keys::sort_test_set(spec.seed),
-            )
-        };
-        let test_table = cached_table(&format!("sort-{scale}-test"), &cv, &test, spec.cache);
-        report("sort", &mut cv, &train, &test_table, max_iters)?;
-    }
+    for_each_suite(spec, &mut Fig7 { spec })?;
     Ok(())
 }
 
-fn report<I: Send + Sync>(
-    name: &str,
-    cv: &mut nitro_core::CodeVariant<I>,
-    train: &[I],
-    test_table: &ProfileTable,
-    max_iters: usize,
-) -> BenchResult<()> {
-    // Baseline: full-training-set performance.
-    cv.policy_mut().incremental = None;
-    let train_table = ProfileTable::build(cv, train);
-    Autotuner::new().tune_from_table(cv, &train_table)?;
-    let full_model = cv.export_artifact()?.model;
-    let full = evaluate_model(test_table, &full_model, cv.default_variant()).mean_relative_perf;
+struct Fig7 {
+    spec: SuiteSpec,
+}
 
-    let (curve, tune) = incremental_curve_with_report(cv, train, test_table, max_iters)?;
+impl SuiteVisitor for Fig7 {
+    type Output = ();
+    fn visit<I: Send + Sync + 'static>(
+        &mut self,
+        suite: Suite<'_, I>,
+    ) -> BenchResult<Self::Output> {
+        let spec = self.spec;
+        let max_iters = if spec.small { 10 } else { MAX_ITERS };
+        let cv = &mut (suite.build)(&Context::new());
+        let test_table = &cached_table(&spec.tag(suite.name, "test"), cv, suite.test, spec.cache);
 
-    println!(
-        "\n--- {name} (full-training performance: {}) ---",
-        pct(full)
-    );
-    println!("  iter  perf      % of full-training");
-    let mut reached_90 = None;
-    let mut reached_100 = None;
-    for &(i, perf) in &curve {
-        let frac = if full > 0.0 { perf / full } else { 0.0 };
-        if reached_90.is_none() && frac >= 0.90 {
-            reached_90 = Some(i);
+        // Baseline: full-training-set performance.
+        cv.policy_mut().incremental = None;
+        let train_table = ProfileTable::build(cv, suite.train);
+        Autotuner::new().tune_from_table(cv, &train_table)?;
+        let full_model = cv.export_artifact()?.model;
+        let full = evaluate_model(test_table, &full_model, cv.default_variant()).mean_relative_perf;
+
+        let (curve, tune) = incremental_curve_with_report(cv, suite.train, test_table, max_iters)?;
+
+        println!(
+            "\n--- {} (full-training performance: {}) ---",
+            suite.name,
+            pct(full)
+        );
+        println!("  iter  perf      % of full-training");
+        let mut reached_90 = None;
+        let mut reached_100 = None;
+        for &(i, perf) in &curve {
+            let frac = if full > 0.0 { perf / full } else { 0.0 };
+            if reached_90.is_none() && frac >= 0.90 {
+                reached_90 = Some(i);
+            }
+            if reached_100.is_none() && frac >= 0.999 {
+                reached_100 = Some(i);
+            }
+            // Print a decimated curve: every iteration up to 10, then every 5.
+            if i <= 10 || i % 5 == 0 || i + 1 == curve.len() {
+                println!("  {:>4}  {}  {:>6.1}%", i, pct(perf), frac * 100.0);
+            }
         }
-        if reached_100.is_none() && frac >= 0.999 {
-            reached_100 = Some(i);
-        }
-        // Print a decimated curve: every iteration up to 10, then every 5.
-        if i <= 10 || i % 5 == 0 || i + 1 == curve.len() {
-            println!("  {:>4}  {}  {:>6.1}%", i, pct(perf), frac * 100.0);
-        }
-    }
-    println!(
+        println!(
         "  reached 90% of full-training at iteration {:?}; matched it at {:?} (paper: ~25 and <=50)",
         reached_90, reached_100
     );
-    let breakdown = phase_breakdown(&tune, "    ");
-    if !breakdown.is_empty() {
-        println!("  incremental tuning time by phase:\n{breakdown}");
+        let breakdown = phase_breakdown(&tune, "    ");
+        if !breakdown.is_empty() {
+            println!("  incremental tuning time by phase:\n{breakdown}");
+        }
+        Ok(())
     }
-    Ok(())
 }

@@ -6,124 +6,73 @@
 //! overhead; SpMV and Solvers need their expensive features for peak
 //! performance, amortized over repeated executions.
 
-use nitro_bench::{cached_table, device, feature_subset_sweep, pct, SuiteSpec};
+use std::any::Any;
+
+use nitro_bench::error::{exit_on_error, BenchResult};
+use nitro_bench::{
+    cached_table, device, feature_subset_sweep, for_each_suite, pct, Suite, SuiteSpec, SuiteVisitor,
+};
 use nitro_core::Context;
+use nitro_histogram::HistInput;
 
 fn main() {
-    let spec = SuiteSpec::from_env();
-    let cfg = device();
+    exit_on_error(run());
+}
+
+fn run() -> BenchResult<()> {
+    let spec = SuiteSpec::from_env()?;
     println!("== Figure 8: feature subsets (cheapest first) ==");
     if spec.small {
         println!("(NITRO_SCALE=small — miniature collections)");
     }
-    let scale = if spec.small { "small" } else { "full" };
-
-    {
-        let ctx = Context::new();
-        let cv = nitro_sparse::spmv::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sparse::collection::spmv_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sparse::collection::spmv_training_set(spec.seed),
-                nitro_sparse::collection::spmv_test_set(spec.seed),
-            )
-        };
-        let train_table = cached_table(&format!("spmv-{scale}-train"), &cv, &train, spec.cache);
-        let test_table = cached_table(&format!("spmv-{scale}-test"), &cv, &test, spec.cache);
-        report(
-            "spmv",
-            feature_subset_sweep(&cv, &test, &train_table, &test_table),
-        );
-    }
-    {
-        let ctx = Context::new();
-        let cv = nitro_solvers::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_solvers::collection::solver_small_sets(spec.seed)
-        } else {
-            (
-                nitro_solvers::collection::solver_training_set(spec.seed),
-                nitro_solvers::collection::solver_test_set(spec.seed),
-            )
-        };
-        let train_table = cached_table(&format!("solvers-{scale}-train"), &cv, &train, spec.cache);
-        let test_table = cached_table(&format!("solvers-{scale}-test"), &cv, &test, spec.cache);
-        report(
-            "solvers",
-            feature_subset_sweep(&cv, &test, &train_table, &test_table),
-        );
-    }
-    {
-        let ctx = Context::new();
-        let cv = nitro_graph::bfs::build_code_variant(&ctx, &cfg);
-        let (train, test) = nitro_bench::bfs_sets(spec);
-        let train_table = cached_table(&format!("bfs-{scale}-train"), &cv, &train, spec.cache);
-        let test_table = cached_table(&format!("bfs-{scale}-test"), &cv, &test, spec.cache);
-        report(
-            "bfs",
-            feature_subset_sweep(&cv, &test, &train_table, &test_table),
-        );
-    }
-    {
-        let ctx = Context::new();
-        let cv = nitro_histogram::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_histogram::data::hist_small_sets(spec.seed)
-        } else {
-            (
-                nitro_histogram::data::hist_training_set(spec.seed),
-                nitro_histogram::data::hist_test_set(spec.seed),
-            )
-        };
-        let train_table =
-            cached_table(&format!("histogram-{scale}-train"), &cv, &train, spec.cache);
-        let test_table = cached_table(&format!("histogram-{scale}-test"), &cv, &test, spec.cache);
-        report(
-            "histogram",
-            feature_subset_sweep(&cv, &test, &train_table, &test_table),
-        );
-
-        // The §V-C sub-experiment: shrinking the SubSampleSD sample cuts
-        // its overhead with only a small performance cost.
-        println!("  SubSampleSD sample-size sensitivity:");
-        for cap in [10_000usize, 2_000, 500] {
-            let cv2 = nitro_histogram::variants::build_code_variant_with_subsample(&ctx, &cfg, cap);
-            let inp = &test[0];
-            let (_, cost) = cv2.evaluate_features(inp);
-            println!("    cap {:>6}: feature cost {:>10.0} ns", cap, cost);
-        }
-    }
-    {
-        let ctx = Context::new();
-        let cv = nitro_sort::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sort::keys::sort_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sort::keys::sort_training_set(spec.seed),
-                nitro_sort::keys::sort_test_set(spec.seed),
-            )
-        };
-        let train_table = cached_table(&format!("sort-{scale}-train"), &cv, &train, spec.cache);
-        let test_table = cached_table(&format!("sort-{scale}-test"), &cv, &test, spec.cache);
-        report(
-            "sort",
-            feature_subset_sweep(&cv, &test, &train_table, &test_table),
-        );
-    }
+    for_each_suite(spec, &mut Fig8 { spec })?;
+    Ok(())
 }
 
-fn report(name: &str, rows: Vec<nitro_bench::FeatureSubsetRow>) {
-    println!("\n--- {name} ---");
-    println!("  k  perf      overhead  features");
-    for r in &rows {
-        println!(
-            "  {}  {}  {:>7.3}%  {}",
-            r.k,
-            pct(r.perf),
-            r.overhead_frac * 100.0,
-            r.features.join(", ")
-        );
+struct Fig8 {
+    spec: SuiteSpec,
+}
+
+impl SuiteVisitor for Fig8 {
+    type Output = ();
+    fn visit<I: Send + Sync + 'static>(
+        &mut self,
+        suite: Suite<'_, I>,
+    ) -> BenchResult<Self::Output> {
+        let (spec, name) = (self.spec, suite.name);
+        let cv = (suite.build)(&Context::new());
+        let train_table = cached_table(&spec.tag(name, "train"), &cv, suite.train, spec.cache);
+        let test_table = cached_table(&spec.tag(name, "test"), &cv, suite.test, spec.cache);
+        println!("\n--- {name} ---");
+        println!("  k  perf      overhead  features");
+        for r in feature_subset_sweep(&cv, suite.test, &train_table, &test_table) {
+            println!(
+                "  {}  {}  {:>7.3}%  {}",
+                r.k,
+                pct(r.perf),
+                r.overhead_frac * 100.0,
+                r.features.join(", ")
+            );
+        }
+
+        // The §V-C sub-experiment belongs to histogram alone, the one
+        // suite with a tunable feature: shrinking the SubSampleSD sample
+        // cuts its overhead with only a small performance cost.
+        if name == "histogram" {
+            let input = (&suite.test[0] as &dyn Any)
+                .downcast_ref::<HistInput>()
+                .expect("the histogram suite's inputs are HistInputs");
+            println!("  SubSampleSD sample-size sensitivity:");
+            for cap in [10_000usize, 2_000, 500] {
+                let cv2 = nitro_histogram::variants::build_code_variant_with_subsample(
+                    &Context::new(),
+                    &device(),
+                    cap,
+                );
+                let (_, cost) = cv2.evaluate_features(input);
+                println!("    cap {:>6}: feature cost {:>10.0} ns", cap, cost);
+            }
+        }
+        Ok(())
     }
 }

@@ -43,7 +43,7 @@
 use std::path::{Path, PathBuf};
 
 use nitro_bench::error::{exit_on_error, to_json_pretty, write_file, BenchResult};
-use nitro_bench::{device, SuiteSpec};
+use nitro_bench::{for_each_suite, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::{CodeVariant, Context, ModelArtifact, MODEL_SCHEMA_VERSION};
 use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
 use nitro_pulse::{AlertKind, AlertSeverity, FunctionPulse, SloSpec, SloWatchdog};
@@ -464,13 +464,31 @@ fn summarize(o: &LifecycleOutcome) {
     }
 }
 
+struct Lifecycle {
+    dir: PathBuf,
+}
+
+impl SuiteVisitor for Lifecycle {
+    type Output = LifecycleOutcome;
+    fn visit<I: Send + Sync + 'static>(
+        &mut self,
+        suite: Suite<'_, I>,
+    ) -> BenchResult<Self::Output> {
+        // The slowdown drill needs live simulated launches; solvers and
+        // bfs price their variants with closed-form cost models that
+        // launch-level fault injection cannot perturb.
+        let fault_drill = matches!(suite.name, "spmv" | "histogram" | "sort");
+        let (train, test) = (suite.train, suite.test);
+        lifecycle_suite(suite.name, suite.build, train, test, fault_drill, &self.dir)
+    }
+}
+
 fn main() {
     exit_on_error(run());
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
-    let cfg = device();
+    let spec = SuiteSpec::from_env()?;
     let dir = out_dir();
     println!("== nitro-store lifecycle report ==");
     if spec.small {
@@ -478,90 +496,7 @@ fn run() -> BenchResult<()> {
     }
     println!("artifacts under {}", dir.display());
 
-    let mut suites = Vec::new();
-    {
-        let (train, test) = if spec.small {
-            nitro_sparse::collection::spmv_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sparse::collection::spmv_training_set(spec.seed),
-                nitro_sparse::collection::spmv_test_set(spec.seed),
-            )
-        };
-        suites.push(lifecycle_suite(
-            "spmv",
-            |ctx| nitro_sparse::spmv::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            true,
-            &dir,
-        )?);
-    }
-    {
-        let (train, test) = if spec.small {
-            nitro_solvers::collection::solver_small_sets(spec.seed)
-        } else {
-            (
-                nitro_solvers::collection::solver_training_set(spec.seed),
-                nitro_solvers::collection::solver_test_set(spec.seed),
-            )
-        };
-        suites.push(lifecycle_suite(
-            "solvers",
-            |ctx| nitro_solvers::variants::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            false,
-            &dir,
-        )?);
-    }
-    {
-        let (train, test) = nitro_bench::bfs_sets(spec);
-        suites.push(lifecycle_suite(
-            "bfs",
-            |ctx| nitro_graph::bfs::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            false,
-            &dir,
-        )?);
-    }
-    {
-        let (train, test) = if spec.small {
-            nitro_histogram::data::hist_small_sets(spec.seed)
-        } else {
-            (
-                nitro_histogram::data::hist_training_set(spec.seed),
-                nitro_histogram::data::hist_test_set(spec.seed),
-            )
-        };
-        suites.push(lifecycle_suite(
-            "histogram",
-            |ctx| nitro_histogram::variants::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            true,
-            &dir,
-        )?);
-    }
-    {
-        let (train, test) = if spec.small {
-            nitro_sort::keys::sort_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sort::keys::sort_training_set(spec.seed),
-                nitro_sort::keys::sort_test_set(spec.seed),
-            )
-        };
-        suites.push(lifecycle_suite(
-            "sort",
-            |ctx| nitro_sort::variants::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            true,
-            &dir,
-        )?);
-    }
+    let suites = for_each_suite(spec, &mut Lifecycle { dir: dir.clone() })?;
 
     for s in &suites {
         summarize(s);

@@ -41,7 +41,7 @@ use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 use nitro_bench::error::{exit_on_error, to_json_pretty, write_file, BenchResult};
-use nitro_bench::{device, SuiteSpec};
+use nitro_bench::{for_each_suite, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::{CodeVariant, Context, ModelArtifact};
 use nitro_pulse::{
     AlertKind, AlertSeverity, FunctionPulse, PulseAlert, PulseProfiler, SloSpec, SloWatchdog,
@@ -646,13 +646,44 @@ struct PulseBenchReport {
     failures: Vec<String>,
 }
 
+struct Pulse {
+    registry: MetricsRegistry,
+    slo_drill: Option<SloDrillOutcome>,
+    failures: Vec<String>,
+}
+
+impl SuiteVisitor for Pulse {
+    type Output = SuitePulseOutcome;
+    fn visit<I: Send + Sync + 'static>(
+        &mut self,
+        suite: Suite<'_, I>,
+    ) -> BenchResult<Self::Output> {
+        let (name, train, test) = (suite.name, suite.train, suite.test);
+        let (outcome, artifact) = suite_pulse(
+            name,
+            suite.build,
+            train,
+            test,
+            &self.registry,
+            &mut self.failures,
+        )?;
+        // One drill is enough to prove the observe→act loop; spmv runs it
+        // because its dispatch cost comes from live simulated launches,
+        // which the injected slowdown inflates.
+        if name == "spmv" {
+            let drill = slo_drill(name, suite.build, &artifact, test, &mut self.failures)?;
+            self.slo_drill = Some(drill);
+        }
+        Ok(outcome)
+    }
+}
+
 fn main() {
     exit_on_error(run());
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
-    let cfg = device();
+    let spec = SuiteSpec::from_env()?;
     let dir = out_dir();
     let mut failures = Vec::new();
     println!("== nitro-pulse report ==");
@@ -685,98 +716,14 @@ fn run() -> BenchResult<()> {
     // One shared registry across every suite: per-function metric names
     // keep the streams separate, and the snapshot at the end is what a
     // production process would export.
-    let registry = MetricsRegistry::new();
-    let mut suites = Vec::new();
-
-    let spmv_artifact = {
-        let (train, test) = if spec.small {
-            nitro_sparse::collection::spmv_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sparse::collection::spmv_training_set(spec.seed),
-                nitro_sparse::collection::spmv_test_set(spec.seed),
-            )
-        };
-        let (outcome, artifact) = suite_pulse(
-            "spmv",
-            |ctx| nitro_sparse::spmv::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            &registry,
-            &mut failures,
-        )?;
-        suites.push(outcome);
-        (artifact, test)
+    let mut pulse = Pulse {
+        registry: MetricsRegistry::new(),
+        slo_drill: None,
+        failures,
     };
-    {
-        let (train, test) = if spec.small {
-            nitro_solvers::collection::solver_small_sets(spec.seed)
-        } else {
-            (
-                nitro_solvers::collection::solver_training_set(spec.seed),
-                nitro_solvers::collection::solver_test_set(spec.seed),
-            )
-        };
-        let (outcome, _) = suite_pulse(
-            "solvers",
-            |ctx| nitro_solvers::variants::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            &registry,
-            &mut failures,
-        )?;
-        suites.push(outcome);
-    }
-    {
-        let (train, test) = nitro_bench::bfs_sets(spec);
-        let (outcome, _) = suite_pulse(
-            "bfs",
-            |ctx| nitro_graph::bfs::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            &registry,
-            &mut failures,
-        )?;
-        suites.push(outcome);
-    }
-    {
-        let (train, test) = if spec.small {
-            nitro_histogram::data::hist_small_sets(spec.seed)
-        } else {
-            (
-                nitro_histogram::data::hist_training_set(spec.seed),
-                nitro_histogram::data::hist_test_set(spec.seed),
-            )
-        };
-        let (outcome, _) = suite_pulse(
-            "histogram",
-            |ctx| nitro_histogram::variants::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            &registry,
-            &mut failures,
-        )?;
-        suites.push(outcome);
-    }
-    {
-        let (train, test) = if spec.small {
-            nitro_sort::keys::sort_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sort::keys::sort_training_set(spec.seed),
-                nitro_sort::keys::sort_test_set(spec.seed),
-            )
-        };
-        let (outcome, _) = suite_pulse(
-            "sort",
-            |ctx| nitro_sort::variants::build_code_variant(ctx, &cfg),
-            &train,
-            &test,
-            &registry,
-            &mut failures,
-        )?;
-        suites.push(outcome);
-    }
+    let suites = for_each_suite(spec, &mut pulse)?;
+    let slo_drill = pulse.slo_drill.expect("the roster includes spmv");
+    let failures = pulse.failures;
     for s in &suites {
         println!(
             "{:>9}: {} dispatches on {} threads · p50 {:.0} ns · p99 {:.0} ns · {} profile cell(s)",
@@ -784,14 +731,6 @@ fn run() -> BenchResult<()> {
         );
     }
 
-    let (artifact, test) = spmv_artifact;
-    let slo_drill = slo_drill(
-        "spmv",
-        |ctx| nitro_sparse::spmv::build_code_variant(ctx, &cfg),
-        &artifact,
-        &test,
-        &mut failures,
-    )?;
     match (&slo_drill.alert, slo_drill.faulty_ticks_to_alert) {
         (Some(a), Some(t)) => println!(
             "slo drill: paged after {t} faulty tick(s) — p99 {:.0} ns over threshold {:.0} ns · rollback: {}",
@@ -801,7 +740,7 @@ fn run() -> BenchResult<()> {
     }
 
     let report = PulseBenchReport {
-        scale: if spec.small { "small" } else { "full" }.to_string(),
+        scale: spec.scale().to_string(),
         available_parallelism: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

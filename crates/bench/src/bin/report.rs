@@ -13,7 +13,7 @@ fn main() {
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     let mut md = String::new();
     let w = &mut md;
 

@@ -343,7 +343,7 @@ fn run_phase(
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
+    let spec = SuiteSpec::from_env()?;
     silence_injected_panics();
     install_fault_plan(FaultPlan::with_failure_prob(spec.seed, LAUNCH_FAILURE_PROB));
 
@@ -523,7 +523,7 @@ fn run() -> BenchResult<()> {
 
     let monotone = !failures.iter().any(|f| f.contains("reject rate"));
     let report = ServeReport {
-        scale: if spec.small { "small" } else { "full" }.to_string(),
+        scale: spec.scale().to_string(),
         seed: spec.seed,
         launch_failure_prob: LAUNCH_FAILURE_PROB,
         budget_ns: BUDGET_NS,

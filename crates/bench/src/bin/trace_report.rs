@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use nitro_audit::{analyze_metrics_json, render_text, MetricsAuditConfig};
 use nitro_bench::error::{exit_on_error, BenchResult};
-use nitro_bench::{device, pct, SuiteSpec};
+use nitro_bench::{for_each_suite, pct, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::{CodeVariant, Context};
 use nitro_trace::{
     validate_chrome_trace, ChromeSink, JsonlSink, MetricsSnapshot, MultiSink, RegretLedger,
@@ -234,13 +234,27 @@ fn summarize(s: &SuiteTrace) {
     }
 }
 
+struct Traced {
+    dir: PathBuf,
+}
+
+impl SuiteVisitor for Traced {
+    type Output = SuiteTrace;
+    fn visit<I: Send + Sync + 'static>(
+        &mut self,
+        suite: Suite<'_, I>,
+    ) -> BenchResult<Self::Output> {
+        let mut cv = (suite.build)(&Context::new());
+        trace_suite(suite.name, &mut cv, suite.train, suite.test, &self.dir)
+    }
+}
+
 fn main() {
     exit_on_error(run());
 }
 
 fn run() -> BenchResult<()> {
-    let spec = SuiteSpec::from_env();
-    let cfg = device();
+    let spec = SuiteSpec::from_env()?;
     let dir = out_dir();
     println!("== nitro-trace report ==");
     if spec.small {
@@ -248,65 +262,7 @@ fn run() -> BenchResult<()> {
     }
     println!("artifacts under {}", dir.display());
 
-    let mut suites = Vec::new();
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_sparse::spmv::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sparse::collection::spmv_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sparse::collection::spmv_training_set(spec.seed),
-                nitro_sparse::collection::spmv_test_set(spec.seed),
-            )
-        };
-        suites.push(trace_suite("spmv", &mut cv, &train, &test, &dir)?);
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_solvers::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_solvers::collection::solver_small_sets(spec.seed)
-        } else {
-            (
-                nitro_solvers::collection::solver_training_set(spec.seed),
-                nitro_solvers::collection::solver_test_set(spec.seed),
-            )
-        };
-        suites.push(trace_suite("solvers", &mut cv, &train, &test, &dir)?);
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_graph::bfs::build_code_variant(&ctx, &cfg);
-        let (train, test) = nitro_bench::bfs_sets(spec);
-        suites.push(trace_suite("bfs", &mut cv, &train, &test, &dir)?);
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_histogram::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_histogram::data::hist_small_sets(spec.seed)
-        } else {
-            (
-                nitro_histogram::data::hist_training_set(spec.seed),
-                nitro_histogram::data::hist_test_set(spec.seed),
-            )
-        };
-        suites.push(trace_suite("histogram", &mut cv, &train, &test, &dir)?);
-    }
-    {
-        let ctx = Context::new();
-        let mut cv = nitro_sort::variants::build_code_variant(&ctx, &cfg);
-        let (train, test) = if spec.small {
-            nitro_sort::keys::sort_small_sets(spec.seed)
-        } else {
-            (
-                nitro_sort::keys::sort_training_set(spec.seed),
-                nitro_sort::keys::sort_test_set(spec.seed),
-            )
-        };
-        suites.push(trace_suite("sort", &mut cv, &train, &test, &dir)?);
-    }
+    let suites = for_each_suite(spec, &mut Traced { dir: dir.clone() })?;
 
     for s in &suites {
         summarize(s);

@@ -1,4 +1,4 @@
-//! Shared experiment-harness machinery: suite construction, profile
+//! Shared experiment-harness machinery: the five-suite roster, profile
 //! caching and evaluation plumbing used by every figure binary.
 
 use std::path::PathBuf;
@@ -9,7 +9,7 @@ use nitro_tuner::{
     evaluate_fixed_variant, evaluate_model, Autotuner, EvalSummary, ProfileTable, TuneReport,
 };
 
-use crate::error::BenchResult;
+use crate::error::{BenchError, BenchResult};
 
 /// Seed every collection in the harness derives from — change it and all
 /// generated "UFL matrices", graphs and key sequences change together.
@@ -27,18 +27,32 @@ pub struct SuiteSpec {
 }
 
 impl SuiteSpec {
-    /// Read `NITRO_SCALE` (`small` | `full`, default `full`) and
-    /// `NITRO_NO_CACHE`.
-    pub fn from_env() -> Self {
-        let small = std::env::var("NITRO_SCALE")
-            .map(|v| v == "small")
-            .unwrap_or(false);
+    /// Read `NITRO_SCALE` (see [`SuiteSpec::parse`]) and `NITRO_NO_CACHE`.
+    pub fn from_env() -> BenchResult<Self> {
+        let scale = std::env::var_os("NITRO_SCALE").map(|v| v.to_string_lossy().into_owned());
         let cache = std::env::var("NITRO_NO_CACHE").is_err();
-        Self {
+        Self::parse(scale.as_deref(), cache)
+    }
+
+    /// Build a spec from a `NITRO_SCALE` value: unset or `full` selects
+    /// the paper-sized collections, `small` the miniature ones. Any other
+    /// value is refused: full scale takes minutes, so a typo must not
+    /// select it silently.
+    pub fn parse(scale: Option<&str>, cache: bool) -> BenchResult<Self> {
+        let small = match scale {
+            None | Some("full") => false,
+            Some("small") => true,
+            Some(other) => {
+                return Err(BenchError::Invalid(format!(
+                    "NITRO_SCALE must be `small` or `full`, not {other:?}"
+                )))
+            }
+        };
+        Ok(Self {
             small,
             seed: COLLECTION_SEED,
             cache,
-        }
+        })
     }
 
     /// Miniature configuration for tests.
@@ -48,6 +62,20 @@ impl SuiteSpec {
             seed: COLLECTION_SEED,
             cache: false,
         }
+    }
+
+    /// The scale's name in cache tags and reports: `small` or `full`.
+    pub fn scale(&self) -> &'static str {
+        if self.small {
+            "small"
+        } else {
+            "full"
+        }
+    }
+
+    /// The cache tag of one suite's split: `<suite>-<scale>-<split>`.
+    pub fn tag(&self, suite: &str, split: &str) -> String {
+        format!("{suite}-{}-{split}", self.scale())
     }
 }
 
@@ -81,7 +109,9 @@ pub fn cache_dir() -> PathBuf {
     dir
 }
 
-/// Build (or load from cache) a profile table for `inputs`.
+/// Build (or load from cache) a profile table for `inputs`. A cached
+/// table is reused only when it was profiled with the same inputs count,
+/// variants, active features and objective as `cv` has now.
 pub fn cached_table<I: Send + Sync>(
     tag: &str,
     cv: &CodeVariant<I>,
@@ -92,7 +122,11 @@ pub fn cached_table<I: Send + Sync>(
     if cache {
         if let Ok(text) = std::fs::read_to_string(&path) {
             if let Ok(table) = ProfileTable::from_json(&text) {
-                if table.len() == inputs.len() && table.variant_names == cv.variant_names() {
+                if table.len() == inputs.len()
+                    && table.variant_names == cv.variant_names()
+                    && table.feature_names == cv.active_feature_names()
+                    && table.objective == cv.policy().objective
+                {
                     return table;
                 }
             }
@@ -116,9 +150,8 @@ pub fn run_suite<I: Send + Sync>(
     test: &[I],
     spec: SuiteSpec,
 ) -> BenchResult<SuiteOutcome> {
-    let scale = if spec.small { "small" } else { "full" };
-    let train_table = cached_table(&format!("{name}-{scale}-train"), cv, train, spec.cache);
-    let test_table = cached_table(&format!("{name}-{scale}-test"), cv, test, spec.cache);
+    let train_table = cached_table(&spec.tag(name, "train"), cv, train, spec.cache);
+    let test_table = cached_table(&spec.tag(name, "test"), cv, test, spec.cache);
 
     let tune = Autotuner::new().tune_from_table(cv, &train_table)?;
     let model = cv.export_artifact()?.model;
@@ -146,109 +179,133 @@ pub fn device() -> DeviceConfig {
 }
 
 // ---------------------------------------------------------------------
-// Per-benchmark suite constructors
+// The five-suite roster
 // ---------------------------------------------------------------------
 
-/// SpMV suite (paper benchmark 1).
-pub fn run_spmv(spec: SuiteSpec) -> BenchResult<SuiteOutcome> {
-    run_spmv_on(spec, &device())
-}
+/// One suite's training and test inputs.
+pub type Sets<I> = (Vec<I>, Vec<I>);
 
-/// SpMV suite on an explicit device (used by the device ablation).
-pub fn run_spmv_on(spec: SuiteSpec, cfg: &DeviceConfig) -> BenchResult<SuiteOutcome> {
-    let ctx = Context::new();
-    let mut cv = nitro_sparse::spmv::build_code_variant(&ctx, cfg);
-    let (train, test) = if spec.small {
-        nitro_sparse::collection::spmv_small_sets(spec.seed)
-    } else {
-        (
-            nitro_sparse::collection::spmv_training_set(spec.seed),
-            nitro_sparse::collection::spmv_test_set(spec.seed),
-        )
-    };
-    let tag = if cfg.name.contains("Fermi") {
-        "spmv"
-    } else {
-        "spmv-alt"
-    };
-    run_suite(tag, &mut cv, &train, &test, spec)
-}
-
-/// Solvers suite (paper benchmark 2).
-pub fn run_solvers(spec: SuiteSpec) -> BenchResult<SuiteOutcome> {
-    let ctx = Context::new();
-    let mut cv = nitro_solvers::variants::build_code_variant(&ctx, &device());
-    let (train, test) = if spec.small {
-        nitro_solvers::collection::solver_small_sets(spec.seed)
-    } else {
-        (
-            nitro_solvers::collection::solver_training_set(spec.seed),
-            nitro_solvers::collection::solver_test_set(spec.seed),
-        )
-    };
-    run_suite("solvers", &mut cv, &train, &test, spec)
-}
-
-/// BFS suite (paper benchmark 3).
-pub fn run_bfs(spec: SuiteSpec) -> BenchResult<SuiteOutcome> {
-    let ctx = Context::new();
-    let mut cv = nitro_graph::bfs::build_code_variant(&ctx, &device());
-    let (train, test) = bfs_sets(spec);
-    run_suite("bfs", &mut cv, &train, &test, spec)
-}
-
-/// The BFS train/test inputs (exposed for the Hybrid comparison, which
-/// needs the raw graphs as well as the profile table).
-pub fn bfs_sets(spec: SuiteSpec) -> (Vec<nitro_graph::BfsInput>, Vec<nitro_graph::BfsInput>) {
+fn sets<I>(
+    spec: SuiteSpec,
+    small: fn(u64) -> Sets<I>,
+    train: fn(u64) -> Vec<I>,
+    test: fn(u64) -> Vec<I>,
+) -> Sets<I> {
     if spec.small {
-        nitro_graph::collection::bfs_small_sets(spec.seed)
+        small(spec.seed)
     } else {
-        (
-            nitro_graph::collection::bfs_training_set(spec.seed),
-            nitro_graph::collection::bfs_test_set(spec.seed),
-        )
+        (train(spec.seed), test(spec.seed))
     }
 }
 
-/// Histogram suite (paper benchmark 4).
-pub fn run_histogram(spec: SuiteSpec) -> BenchResult<SuiteOutcome> {
-    let ctx = Context::new();
-    let mut cv = nitro_histogram::variants::build_code_variant(&ctx, &device());
-    let (train, test) = if spec.small {
-        nitro_histogram::data::hist_small_sets(spec.seed)
-    } else {
-        (
-            nitro_histogram::data::hist_training_set(spec.seed),
-            nitro_histogram::data::hist_test_set(spec.seed),
-        )
-    };
-    run_suite("histogram", &mut cv, &train, &test, spec)
+/// SpMV's train/test matrices at the spec's scale.
+pub fn spmv_sets(spec: SuiteSpec) -> Sets<nitro_sparse::SpmvInput> {
+    use nitro_sparse::collection::*;
+    sets(spec, spmv_small_sets, spmv_training_set, spmv_test_set)
 }
 
-/// Sort suite (paper benchmark 5).
-pub fn run_sort(spec: SuiteSpec) -> BenchResult<SuiteOutcome> {
-    let ctx = Context::new();
-    let mut cv = nitro_sort::variants::build_code_variant(&ctx, &device());
-    let (train, test) = if spec.small {
-        nitro_sort::keys::sort_small_sets(spec.seed)
-    } else {
-        (
-            nitro_sort::keys::sort_training_set(spec.seed),
-            nitro_sort::keys::sort_test_set(spec.seed),
-        )
-    };
-    run_suite("sort", &mut cv, &train, &test, spec)
+/// The Solvers suite's train/test systems at the spec's scale.
+pub fn solver_sets(spec: SuiteSpec) -> Sets<nitro_solvers::SolverInput> {
+    use nitro_solvers::collection::*;
+    sets(
+        spec,
+        solver_small_sets,
+        solver_training_set,
+        solver_test_set,
+    )
 }
 
-/// All five suites, in the paper's order.
-pub fn run_all(spec: SuiteSpec) -> BenchResult<Vec<SuiteOutcome>> {
+/// BFS's train/test graphs at the spec's scale.
+pub fn bfs_sets(spec: SuiteSpec) -> Sets<nitro_graph::BfsInput> {
+    use nitro_graph::collection::*;
+    sets(spec, bfs_small_sets, bfs_training_set, bfs_test_set)
+}
+
+/// The Histogram suite's train/test inputs at the spec's scale.
+pub fn hist_sets(spec: SuiteSpec) -> Sets<nitro_histogram::HistInput> {
+    use nitro_histogram::data::*;
+    sets(spec, hist_small_sets, hist_training_set, hist_test_set)
+}
+
+/// The Sort suite's train/test key sequences at the spec's scale.
+pub fn sort_sets(spec: SuiteSpec) -> Sets<nitro_sort::SortInput> {
+    use nitro_sort::keys::*;
+    sets(spec, sort_small_sets, sort_training_set, sort_test_set)
+}
+
+/// One suite of the roster, as handed to a [`SuiteVisitor`].
+pub struct Suite<'a, I> {
+    /// The suite's name: its report key and cache-tag prefix.
+    pub name: &'static str,
+    /// Builds the suite's code variant on [`device()`].
+    pub build: &'a (dyn Fn(&Context) -> CodeVariant<I> + Sync),
+    /// Training inputs at the spec's scale.
+    pub train: &'a [I],
+    /// Test inputs at the spec's scale.
+    pub test: &'a [I],
+}
+
+/// Work done once per suite of the roster. The method is generic because
+/// every suite has its own input type.
+pub trait SuiteVisitor {
+    /// What one visit yields.
+    type Output;
+    /// Called once per suite, in paper order.
+    fn visit<I: Send + Sync + 'static>(&mut self, suite: Suite<'_, I>)
+        -> BenchResult<Self::Output>;
+}
+
+/// Hand the paper's five benchmarks (Fig. 4) to `visitor` in paper order
+/// — spmv, solvers, bfs, histogram, sort — and collect what it yields. A
+/// suite's sets are generated just before its visit and dropped after
+/// it, so one suite's inputs are live at a time.
+pub fn for_each_suite<V: SuiteVisitor>(
+    spec: SuiteSpec,
+    visitor: &mut V,
+) -> BenchResult<Vec<V::Output>> {
+    fn visit<V: SuiteVisitor, I: Send + Sync + 'static>(
+        visitor: &mut V,
+        name: &'static str,
+        build: &(dyn Fn(&Context) -> CodeVariant<I> + Sync),
+        (train, test): Sets<I>,
+    ) -> BenchResult<V::Output> {
+        let (train, test) = (&train[..], &test[..]);
+        visitor.visit(Suite {
+            name,
+            build,
+            train,
+            test,
+        })
+    }
+    let cfg = &device();
+    let spmv = |c: &Context| nitro_sparse::spmv::build_code_variant(c, cfg);
+    let solvers = |c: &Context| nitro_solvers::variants::build_code_variant(c, cfg);
+    let bfs = |c: &Context| nitro_graph::bfs::build_code_variant(c, cfg);
+    let histogram = |c: &Context| nitro_histogram::variants::build_code_variant(c, cfg);
+    let sort = |c: &Context| nitro_sort::variants::build_code_variant(c, cfg);
     Ok(vec![
-        run_spmv(spec)?,
-        run_solvers(spec)?,
-        run_bfs(spec)?,
-        run_histogram(spec)?,
-        run_sort(spec)?,
+        visit(visitor, "spmv", &spmv, spmv_sets(spec))?,
+        visit(visitor, "solvers", &solvers, solver_sets(spec))?,
+        visit(visitor, "bfs", &bfs, bfs_sets(spec))?,
+        visit(visitor, "histogram", &histogram, hist_sets(spec))?,
+        visit(visitor, "sort", &sort, sort_sets(spec))?,
     ])
+}
+
+/// Tune and evaluate all five suites ([`run_suite`]), in the paper's order.
+pub fn run_all(spec: SuiteSpec) -> BenchResult<Vec<SuiteOutcome>> {
+    struct RunAll(SuiteSpec);
+    impl SuiteVisitor for RunAll {
+        type Output = SuiteOutcome;
+        fn visit<I: Send + Sync + 'static>(
+            &mut self,
+            suite: Suite<'_, I>,
+        ) -> BenchResult<SuiteOutcome> {
+            let mut cv = (suite.build)(&Context::new());
+            run_suite(suite.name, &mut cv, suite.train, suite.test, self.0)
+        }
+    }
+    for_each_suite(spec, &mut RunAll(spec))
 }
 
 // ---------------------------------------------------------------------
@@ -448,10 +505,58 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nitro_core::{FnFeature, FnVariant, Objective};
+
+    #[test]
+    fn nitro_scale_is_small_or_full_and_anything_else_is_named() {
+        assert!(!SuiteSpec::parse(None, true).unwrap().small);
+        assert!(!SuiteSpec::parse(Some("full"), true).unwrap().small);
+        let spec = SuiteSpec::parse(Some("small"), false).unwrap();
+        assert!(spec.small && !spec.cache);
+        let err = SuiteSpec::parse(Some("smal"), true).unwrap_err();
+        assert!(err.to_string().contains("\"smal\""), "{err}");
+    }
+
+    #[test]
+    fn cached_table_reprofiles_a_table_of_other_features_or_objective() {
+        let ctx = Context::new();
+        let mut cv = CodeVariant::<f64>::new("toy", &ctx);
+        cv.add_variant(FnVariant::new("id", |&x: &f64| x));
+        cv.add_variant(FnVariant::new("double", |&x: &f64| 2.0 * x));
+        cv.add_input_feature(FnFeature::new("x", |&x: &f64| x));
+        let inputs = [1.0, 2.0, 3.0];
+        let fresh = ProfileTable::build(&cv, &inputs);
+        let reload = |tag: &str, doctor: fn(&mut ProfileTable)| {
+            let path = cache_dir().join(format!("{tag}.table.json"));
+            let mut doctored = fresh.clone();
+            doctor(&mut doctored);
+            std::fs::write(&path, doctored.to_json().unwrap()).unwrap();
+            let table = cached_table(tag, &cv, &inputs, true);
+            std::fs::remove_file(&path).ok();
+            table
+        };
+        // A table of the same shape is reused as it was written...
+        let kept = reload("harness-test-same-shape", |t| {
+            t.feature_cost_ns[0] = 12_345.0
+        });
+        assert_eq!(kept.feature_cost_ns[0], 12_345.0);
+        // ...one of other features or another objective is re-profiled.
+        let features = reload("harness-test-stale-features", |t| {
+            t.feature_names[0] = "stale".into()
+        });
+        assert_eq!(features.feature_names, cv.active_feature_names());
+        let objective = reload("harness-test-stale-objective", |t| {
+            t.objective = Objective::Maximize
+        });
+        assert_eq!(objective.objective, cv.policy().objective);
+    }
 
     #[test]
     fn small_spmv_suite_runs_end_to_end() {
-        let out = run_spmv(SuiteSpec::small()).unwrap();
+        let spec = SuiteSpec::small();
+        let mut cv = nitro_sparse::spmv::build_code_variant(&Context::new(), &device());
+        let (train, test) = spmv_sets(spec);
+        let out = run_suite("spmv", &mut cv, &train, &test, spec).unwrap();
         assert_eq!(out.variant_names.len(), 6);
         assert!(out.nitro.mean_relative_perf > 0.7, "nitro {:?}", out.nitro);
         assert_eq!(out.fixed.len(), 6);
@@ -459,9 +564,8 @@ mod tests {
 
     #[test]
     fn incremental_curve_is_reasonable() {
-        let ctx = Context::new();
-        let mut cv = nitro_sort::variants::build_code_variant(&ctx, &device());
-        let (train, test) = nitro_sort::keys::sort_small_sets(COLLECTION_SEED);
+        let mut cv = nitro_sort::variants::build_code_variant(&Context::new(), &device());
+        let (train, test) = sort_sets(SuiteSpec::small());
         let test_table = ProfileTable::build(&cv, &test);
         let curve = incremental_curve(&mut cv, &train, &test_table, 8).unwrap();
         assert!(curve.len() >= 2);
@@ -470,9 +574,8 @@ mod tests {
 
     #[test]
     fn feature_subset_sweep_covers_all_ks() {
-        let ctx = Context::new();
-        let cv = nitro_sort::variants::build_code_variant(&ctx, &device());
-        let (train, test) = nitro_sort::keys::sort_small_sets(COLLECTION_SEED);
+        let cv = nitro_sort::variants::build_code_variant(&Context::new(), &device());
+        let (train, test) = sort_sets(SuiteSpec::small());
         let train_table = ProfileTable::build(&cv, &train);
         let test_table = ProfileTable::build(&cv, &test);
         let rows = feature_subset_sweep(&cv, &test, &train_table, &test_table);
@@ -483,7 +586,10 @@ mod tests {
 
     #[test]
     fn convergence_stats_count_failures() {
-        let out = run_solvers(SuiteSpec::small()).unwrap();
+        let spec = SuiteSpec::small();
+        let mut cv = nitro_solvers::variants::build_code_variant(&Context::new(), &device());
+        let (train, test) = solver_sets(spec);
+        let out = run_suite("solvers", &mut cv, &train, &test, spec).unwrap();
         let stats = convergence_stats(&out.test_table, &out.model, out.default_variant);
         // The small solver sets include weak-diagonal systems where some
         // variants fail.
