@@ -36,18 +36,9 @@ fn run() -> BenchResult<()> {
     for (d, cfg) in devices.iter().enumerate() {
         let ctx = Context::new();
         let mut cv = nitro_sparse::spmv::build_code_variant(&ctx, cfg);
-        let train_table = cached_table(
-            &spec.tag(&format!("spmv-dev{d}"), "train"),
-            &cv,
-            &train,
-            spec.cache,
-        );
-        let test_table = cached_table(
-            &spec.tag(&format!("spmv-dev{d}"), "test"),
-            &cv,
-            &test,
-            spec.cache,
-        );
+        let suite = format!("spmv-dev{d}");
+        let train_table = cached_table(&spec.tag(&suite, "train"), &cv, &train, spec.cache);
+        let test_table = cached_table(&spec.tag(&suite, "test"), &cv, &test, spec.cache);
         Autotuner::new().tune_from_table(&mut cv, &train_table)?;
         models.push(cv.export_artifact()?.model);
         test_tables.push(test_table);

@@ -31,18 +31,9 @@ fn run() -> BenchResult<()> {
     for (metric, tag) in [(SpmvMetric::Time, "time"), (SpmvMetric::Energy, "energy")] {
         let ctx = Context::new();
         let mut cv = build_code_variant_metric(&ctx, &cfg, metric);
-        let train_table = cached_table(
-            &spec.tag(&format!("spmv-{tag}"), "train"),
-            &cv,
-            &train,
-            spec.cache,
-        );
-        let test_table = cached_table(
-            &spec.tag(&format!("spmv-{tag}"), "test"),
-            &cv,
-            &test,
-            spec.cache,
-        );
+        let suite = format!("spmv-{tag}");
+        let train_table = cached_table(&spec.tag(&suite, "train"), &cv, &train, spec.cache);
+        let test_table = cached_table(&spec.tag(&suite, "test"), &cv, &test, spec.cache);
         Autotuner::new().tune_from_table(&mut cv, &train_table)?;
         tables.push((metric, test_table, cv.export_artifact()?.model));
     }
