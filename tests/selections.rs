@@ -1,0 +1,129 @@
+//! Pins the paper's decisions: tunes each of the five suites on its
+//! small training set under the default `TuningPolicy`, then digests
+//!
+//! - the tuned `ModelArtifact`'s JSON bytes,
+//! - the variant `CodeVariant::call` selects for every test input,
+//! - the variant `GuardedVariant::call` serves for every test input,
+//!
+//! and checks each digest against a recorded constant.
+//!
+//! A refactor that deletes or moves code must leave every selection
+//! as it was. A digest mismatch means a change moved a trained model or
+//! a per-input decision; if that is intended (a new feature, a training
+//! change), record the new constants and say why in the change
+//! description.
+
+use nitro::core::Context;
+use nitro::guard::{GuardPolicy, GuardedVariant};
+use nitro::tuner::Autotuner;
+use nitro_bench::{for_each_suite, BenchResult, Suite, SuiteSpec, SuiteVisitor};
+
+/// FNV-1a over bytes.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// A selected variant, or `u64::MAX` for a call that failed.
+    fn selection(&mut self, variant: Option<usize>) {
+        self.bytes(&variant.map_or(u64::MAX, |v| v as u64).to_le_bytes());
+    }
+}
+
+/// One suite's digests: artifact, plain selections, guarded selections.
+struct Selections;
+
+impl SuiteVisitor for Selections {
+    type Output = (&'static str, [u64; 3]);
+
+    fn visit<I: Send + Sync + 'static>(
+        &mut self,
+        suite: Suite<'_, I>,
+    ) -> BenchResult<Self::Output> {
+        let mut cv = (suite.build)(&Context::new());
+        Autotuner::new().tune(&mut cv, suite.train)?;
+
+        let mut artifact = Digest::new();
+        artifact.bytes(cv.export_artifact()?.to_json()?.as_bytes());
+
+        let mut plain = Digest::new();
+        for input in suite.test {
+            plain.selection(cv.call(input).ok().map(|inv| inv.variant));
+        }
+
+        let guard = GuardedVariant::new(cv, GuardPolicy::default())?;
+        let mut guarded = Digest::new();
+        for input in suite.test {
+            guarded.selection(guard.call(input).ok().map(|inv| inv.variant));
+        }
+        Ok((suite.name, [artifact.0, plain.0, guarded.0]))
+    }
+}
+
+#[test]
+fn tuned_models_and_per_input_selections_are_stable() {
+    let got = for_each_suite(SuiteSpec::small(), &mut Selections).unwrap();
+    let want: [(&str, [u64; 3]); 5] = [
+        (
+            "spmv",
+            [
+                0x8c36_9010_a257_6958,
+                0xdb86_decd_1077_9885,
+                0xdb86_decd_1077_9885,
+            ],
+        ),
+        (
+            "solvers",
+            [
+                0xb5e9_ac8d_84ba_aaa1,
+                0xd12c_2aa6_2a56_8065,
+                0xd12c_2aa6_2a56_8065,
+            ],
+        ),
+        (
+            "bfs",
+            [
+                0x568b_01bd_7c4c_ad2a,
+                0x34f5_1303_221f_4887,
+                0x34f5_1303_221f_4887,
+            ],
+        ),
+        (
+            "histogram",
+            [
+                0x6e25_5e87_529c_e104,
+                0x620e_4266_23c6_5cc2,
+                0x620e_4266_23c6_5cc2,
+            ],
+        ),
+        (
+            "sort",
+            [
+                0x2c41_0d9b_5806_3fa9,
+                0x4a2f_88ec_c254_dee5,
+                0x4a2f_88ec_c254_dee5,
+            ],
+        ),
+    ];
+    for ((name, digests), (want_name, want_digests)) in got.iter().zip(want) {
+        assert_eq!(*name, want_name);
+        for (what, (g, w)) in ["artifact", "plain selections", "guarded selections"]
+            .iter()
+            .zip(digests.iter().zip(want_digests))
+        {
+            assert_eq!(
+                *g, w,
+                "{name}: {what} changed (digest {g:#018x}, recorded {w:#018x})"
+            );
+        }
+    }
+    assert_eq!(got.len(), want.len());
+}
