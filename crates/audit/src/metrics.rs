@@ -8,11 +8,12 @@
 //! variant that never wins a single call is either dead weight or a sign
 //! the model never learned its class.
 //!
-//! The analyzer reads the counter naming scheme the instrumented
-//! dispatcher emits (`dispatch.<fn>.calls`, `dispatch.<fn>.fallback`,
-//! `dispatch.<fn>.win.<variant>`, `dispatch.<fn>.veto.<variant>`). Use
-//! `CodeVariant::declare_tracer_metrics` before a traced run so
-//! never-won variants appear as explicit zero counters.
+//! The analyzer reads the counters a dispatcher records once
+//! `CodeVariant::bind_metrics` has registered them
+//! (`dispatch.<fn>.calls`, `dispatch.<fn>.fallback`,
+//! `dispatch.<fn>.win.<variant>`, `dispatch.<fn>.veto.<variant>`).
+//! Binding registers every counter at zero, so never-won variants
+//! appear as explicit zero counters.
 
 use nitro_core::diag::registry::codes;
 use nitro_core::Diagnostic;

@@ -131,7 +131,7 @@ fn pick_victim<I: Send + Sync>(cv: &CodeVariant<I>, test: &[I]) -> Option<(usize
 /// Run one suite's chaos experiment end to end.
 fn chaos_suite<I: Send + Sync + 'static>(
     name: &str,
-    cv: CodeVariant<I>,
+    mut cv: CodeVariant<I>,
     train: &[I],
     test: &[I],
     dir: &Path,
@@ -141,7 +141,7 @@ fn chaos_suite<I: Send + Sync + 'static>(
 
     let tracer = Tracer::new(Arc::new(RingSink::new(4096)));
     cv.context().install_tracer(tracer.clone());
-    cv.declare_tracer_metrics(&tracer);
+    cv.bind_metrics(tracer.metrics());
     // The simulator's fault counters go through the process-global slot.
     nitro_trace::install_global(tracer.clone());
 

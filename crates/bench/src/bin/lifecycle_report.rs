@@ -46,7 +46,7 @@ use nitro_bench::error::{exit_on_error, to_json_pretty, write_file, BenchResult}
 use nitro_bench::{for_each_suite, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::{CodeVariant, Context, ModelArtifact, MODEL_SCHEMA_VERSION};
 use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
-use nitro_pulse::{AlertKind, AlertSeverity, FunctionPulse, SloSpec, SloWatchdog};
+use nitro_pulse::{AlertKind, AlertSeverity, SloSpec, SloWatchdog};
 use nitro_simt::{install_fault_plan, uninstall_fault_plan, FaultPlan};
 use nitro_store::{ArtifactStore, LifecycleEvent, PromotionPolicy, StagedPromotion, TuningJournal};
 use nitro_trace::MetricsRegistry;
@@ -318,7 +318,7 @@ where
     // slowdown. The resulting latency page must be consumed by
     // `ingest_alert` and roll the promotion back.
     let registry = MetricsRegistry::new();
-    FunctionPulse::install(&mut resumed, &registry, None);
+    resumed.bind_metrics(&registry);
     let metric = format!("dispatch.{}.latency_ns", resumed.name());
     let dispatch_pass = |cv: &mut CodeVariant<I>| -> BenchResult<()> {
         for input in test {

@@ -37,15 +37,13 @@
 //! guarantee is violated.
 
 use std::path::PathBuf;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 use nitro_bench::error::{exit_on_error, to_json_pretty, write_file, BenchResult};
 use nitro_bench::{for_each_suite, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::{CodeVariant, Context, ModelArtifact};
-use nitro_pulse::{
-    AlertKind, AlertSeverity, FunctionPulse, PulseAlert, PulseProfiler, SloSpec, SloWatchdog,
-};
+use nitro_pulse::{AlertKind, AlertSeverity, PulseAlert, PulseProfiler, SloSpec, SloWatchdog};
 use nitro_simt::{install_fault_plan, uninstall_fault_plan, FaultPlan};
 use nitro_store::{LifecycleEvent, PromotionPolicy, StagedPromotion};
 use nitro_trace::{MetricsRegistry, QuantileSketch, SketchConfig};
@@ -429,7 +427,8 @@ where
                     if cv.install_artifact(artifact.clone()).is_err() {
                         return test.len() as u64 * 2;
                     }
-                    FunctionPulse::install(&mut cv, &registry, Some(profiler));
+                    cv.bind_metrics(&registry);
+                    cv.set_dispatch_observer(Arc::new(profiler));
                     let mut errors = 0u64;
                     for _pass in 0..2 {
                         for input in test {
@@ -529,7 +528,7 @@ where
     let ctx = Context::new();
     let mut cv = build(&ctx);
     cv.install_artifact(artifact.clone())?;
-    FunctionPulse::install(&mut cv, &registry, None);
+    cv.bind_metrics(&registry);
     let metric = format!("dispatch.{}.latency_ns", cv.name());
 
     let pass = |cv: &mut CodeVariant<I>| -> BenchResult<()> {

@@ -81,7 +81,7 @@ fn trace_suite<I: Send + Sync>(
     let tracer = Tracer::new(Arc::new(MultiSink::new(sinks)));
 
     cv.context().install_tracer(tracer.clone());
-    cv.declare_tracer_metrics(&tracer);
+    cv.bind_metrics(tracer.metrics());
     // The simulator layer reads the process-global slot (substrates
     // build their GPUs internally, without a Context in scope).
     nitro_trace::install_global(tracer.clone());

@@ -27,24 +27,37 @@ pub struct SuiteSpec {
 }
 
 impl SuiteSpec {
-    /// Read `NITRO_SCALE` (see [`SuiteSpec::parse`]) and `NITRO_NO_CACHE`.
+    /// Read `NITRO_SCALE` and `NITRO_NO_CACHE` (see [`SuiteSpec::parse`]).
     pub fn from_env() -> BenchResult<Self> {
-        let scale = std::env::var_os("NITRO_SCALE").map(|v| v.to_string_lossy().into_owned());
-        let cache = std::env::var("NITRO_NO_CACHE").is_err();
-        Self::parse(scale.as_deref(), cache)
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Self::parse(
+            var("NITRO_SCALE").as_deref(),
+            var("NITRO_NO_CACHE").as_deref(),
+        )
     }
 
-    /// Build a spec from a `NITRO_SCALE` value: unset or `full` selects
-    /// the paper-sized collections, `small` the miniature ones. Any other
-    /// value is refused: full scale takes minutes, so a typo must not
-    /// select it silently.
-    pub fn parse(scale: Option<&str>, cache: bool) -> BenchResult<Self> {
+    /// Build a spec from the `NITRO_SCALE` and `NITRO_NO_CACHE` values.
+    /// Scale: unset or `full` selects the paper-sized collections,
+    /// `small` the miniature ones. Cache: unset caches profile tables,
+    /// `1` turns the cache off. Any other value is refused: full scale
+    /// takes minutes and a cache can hide a profiling change, so a typo
+    /// must not select either silently.
+    pub fn parse(scale: Option<&str>, no_cache: Option<&str>) -> BenchResult<Self> {
         let small = match scale {
             None | Some("full") => false,
             Some("small") => true,
             Some(other) => {
                 return Err(BenchError::Invalid(format!(
                     "NITRO_SCALE must be `small` or `full`, not {other:?}"
+                )))
+            }
+        };
+        let cache = match no_cache {
+            None => true,
+            Some("1") => false,
+            Some(other) => {
+                return Err(BenchError::Invalid(format!(
+                    "NITRO_NO_CACHE must be unset or `1`, not {other:?}"
                 )))
             }
         };
@@ -509,12 +522,20 @@ mod tests {
 
     #[test]
     fn nitro_scale_is_small_or_full_and_anything_else_is_named() {
-        assert!(!SuiteSpec::parse(None, true).unwrap().small);
-        assert!(!SuiteSpec::parse(Some("full"), true).unwrap().small);
-        let spec = SuiteSpec::parse(Some("small"), false).unwrap();
+        assert!(!SuiteSpec::parse(None, None).unwrap().small);
+        let spec = SuiteSpec::parse(Some("full"), None).unwrap();
+        assert!(!spec.small && spec.cache);
+        let spec = SuiteSpec::parse(Some("small"), Some("1")).unwrap();
         assert!(spec.small && !spec.cache);
-        let err = SuiteSpec::parse(Some("smal"), true).unwrap_err();
+        let err = SuiteSpec::parse(Some("smal"), None).unwrap_err();
         assert!(err.to_string().contains("\"smal\""), "{err}");
+        // `NITRO_NO_CACHE` is unset or `1`: `0` or an empty value must
+        // not turn the cache off silently.
+        for value in ["0", ""] {
+            let err = SuiteSpec::parse(None, Some(value)).unwrap_err();
+            let named = format!("NITRO_NO_CACHE must be unset or `1`, not {value:?}");
+            assert_eq!(err.to_string(), named);
+        }
     }
 
     #[test]

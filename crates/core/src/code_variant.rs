@@ -16,7 +16,7 @@ use crate::context::Context;
 use crate::error::{NitroError, Result};
 use crate::feature::{Constraint, InputFeature};
 use crate::model::ModelArtifact;
-use crate::observer::{DispatchObservation, DispatchObserver, DispatchRecord};
+use crate::observer::{DispatchMetrics, DispatchObservation, DispatchObserver, DispatchRecord};
 use crate::policy::TuningPolicy;
 use crate::predicate::{ConstraintDescriptor, Predicate};
 use crate::variant::Variant;
@@ -155,6 +155,7 @@ pub struct CodeVariant<I: ?Sized> {
     stats: CallStats,
     pending: Option<Pending<I>>,
     scratch: PredictScratch,
+    metrics: Option<DispatchMetrics>,
     observer: Option<Arc<dyn DispatchObserver>>,
 }
 
@@ -173,6 +174,7 @@ impl<I: ?Sized> CodeVariant<I> {
             stats: CallStats::default(),
             pending: None,
             scratch: PredictScratch::default(),
+            metrics: None,
             observer: None,
         }
     }
@@ -632,20 +634,22 @@ impl<I: ?Sized> CodeVariant<I> {
         }
     }
 
-    /// Pre-register this function's dispatch metrics (calls, fallback,
-    /// and per-variant win/veto counters) in a tracer's registry, so an
-    /// exported metrics JSON distinguishes "variant never won" from
-    /// "variant never registered" — the signal the `nitro-audit`
-    /// metrics analyzer keys on.
-    pub fn declare_tracer_metrics(&self, tracer: &nitro_trace::Tracer) {
-        let m = tracer.metrics();
-        m.counter(&format!("dispatch.{}.calls", self.name));
-        m.counter(&format!("dispatch.{}.fallback", self.name));
-        m.counter("ml.predict.kernel_evals");
-        for v in &self.variants {
-            m.counter(&format!("dispatch.{}.win.{}", self.name, v.name()));
-            m.counter(&format!("dispatch.{}.veto.{}", self.name, v.name()));
-        }
+    /// Record this function's dispatches, plain and guarded, in
+    /// `registry`: counters `dispatch.<fn>.{calls,async_calls,fallback}`,
+    /// `dispatch.<fn>.{win,veto}.<variant>` and `ml.predict.kernel_evals`;
+    /// sketches `dispatch.<fn>.latency_ns` and `.feature_ns` in simulated
+    /// ns and `.predict_ns` in host wall-clock ns. Every metric is
+    /// registered here, at zero, so an exported snapshot tells
+    /// "variant never won" from "variant never registered" — the signal
+    /// the `nitro-audit` metrics analyzer keys on. Binding again replaces
+    /// the previous binding, so a dispatch is counted once. Bind after
+    /// registering the variants: a later variant has no win/veto counter.
+    pub fn bind_metrics(&mut self, registry: &nitro_trace::MetricsRegistry) {
+        self.metrics = Some(DispatchMetrics::register(
+            registry,
+            &self.name,
+            &self.variant_names(),
+        ));
     }
 
     /// Install a per-dispatch observer (see
@@ -661,16 +665,22 @@ impl<I: ?Sized> CodeVariant<I> {
         self.observer.take()
     }
 
-    /// The installed dispatch observer, if any.
-    pub fn dispatch_observer(&self) -> Option<&Arc<dyn DispatchObserver>> {
-        self.observer.as_ref()
+    /// Whether a dispatch is recorded: metrics are bound or an observer
+    /// is installed. Only then is the model prediction timed.
+    pub fn is_observed(&self) -> bool {
+        self.metrics.is_some() || self.observer.is_some()
     }
 
-    /// Report one dispatch to the installed observer, if any, naming the
-    /// function and variants from this registration. Plain and guarded
-    /// dispatch both report through here. The path is lock-free and
-    /// allocation-free: the observation borrows dispatcher state.
+    /// Record one dispatch into the bound metrics, if any, then report
+    /// it to the installed observer, if any, naming the function and
+    /// variants from this registration. Plain and guarded dispatch both
+    /// report through here, the one place a dispatch is counted. The
+    /// path is lock-free and allocation-free: the observation borrows
+    /// dispatcher state.
     pub fn observe_dispatch(&self, record: &DispatchRecord<'_>) {
+        if let Some(m) = &self.metrics {
+            m.record(record);
+        }
         let Some(obs) = &self.observer else {
             return;
         };
@@ -695,11 +705,9 @@ impl<I: ?Sized> CodeVariant<I> {
         feature_cost_ns: f64,
         via_async: bool,
     ) -> Result<Invocation> {
-        // One cheap clone of the installed tracer (a reference-count
-        // bump); `None` on the untraced hot path, which allocates
-        // nothing below this point.
-        let tracer = self.context.tracer();
-        let mut span = tracer.as_ref().map(|t| {
+        // `None` on the untraced hot path, which allocates nothing below
+        // this point.
+        let mut span = self.context.tracer().map(|t| {
             t.span(
                 &format!("dispatch:{}", self.name),
                 "dispatch",
@@ -713,11 +721,9 @@ impl<I: ?Sized> CodeVariant<I> {
         if self.variants.is_empty() {
             return Err(NitroError::NoVariants);
         }
-        let predict_start = tracer.as_ref().map(|t| t.now_ns());
-        // The observer wants wall-clock prediction cost even with no
-        // tracer installed (its clock may be manual); one Instant read
-        // only when an observer is watching.
-        let observer_predict_start = self.observer.as_ref().map(|_| std::time::Instant::now());
+        // Prediction cost on the host wall clock: one Instant read, only
+        // when the dispatch is recorded.
+        let predict_start = self.is_observed().then(std::time::Instant::now);
         let predicted = match (&self.model, self.default_variant) {
             // Scratch-buffer prediction: after the first call the model
             // hot path performs no allocations.
@@ -726,13 +732,7 @@ impl<I: ?Sized> CodeVariant<I> {
             (None, None) => return Err(NitroError::NoSelectionPossible),
         };
         let kernel_evals = self.scratch.take_kernel_evals();
-        let predict_ns = tracer
-            .as_ref()
-            .zip(predict_start)
-            .map(|(t, start)| t.now_ns().saturating_sub(start));
-        let predict_wall_ns = observer_predict_start
-            .map(|start| start.elapsed().as_nanos() as u64)
-            .unwrap_or(0);
+        let predict_wall_ns = predict_start.map_or(0, |start| start.elapsed().as_nanos() as u64);
 
         // Online constraint handling: revert to the default variant when
         // the predicted one is vetoed (paper §II-B).
@@ -771,39 +771,11 @@ impl<I: ?Sized> CodeVariant<I> {
             via_async,
         });
 
-        if let Some(t) = &tracer {
-            let m = t.metrics();
-            m.counter(&format!("dispatch.{}.calls", self.name)).inc();
-            m.counter(&format!(
-                "dispatch.{}.win.{}",
-                self.name,
-                self.variants[chosen].name()
-            ))
-            .inc();
-            if fell_back {
-                m.counter(&format!("dispatch.{}.fallback", self.name)).inc();
-                m.counter(&format!(
-                    "dispatch.{}.veto.{}",
-                    self.name,
-                    self.variants[intended].name()
-                ))
-                .inc();
-            }
-            m.sketch(&format!("dispatch.{}.feature_ns", self.name))
-                .record(feature_cost_ns);
-            if let Some(ns) = predict_ns {
-                m.sketch(&format!("dispatch.{}.predict_ns", self.name))
-                    .record(ns as f64);
-            }
-            if kernel_evals > 0 {
-                m.counter("ml.predict.kernel_evals").add(kernel_evals);
-            }
-            if let Some(s) = span.as_mut() {
-                s.end_arg("predicted", nitro_trace::val(&predicted));
-                s.end_arg("chosen", nitro_trace::val(&chosen));
-                s.end_arg("vetoed", nitro_trace::val(&fell_back));
-                s.end_arg("objective_ns", nitro_trace::val(&objective));
-            }
+        if let Some(s) = span.as_mut() {
+            s.end_arg("predicted", nitro_trace::val(&predicted));
+            s.end_arg("chosen", nitro_trace::val(&chosen));
+            s.end_arg("vetoed", nitro_trace::val(&fell_back));
+            s.end_arg("objective_ns", nitro_trace::val(&objective));
         }
 
         Ok(Invocation {
@@ -1065,7 +1037,7 @@ mod tests {
             .unwrap();
         let sink = Arc::new(nitro_trace::RingSink::new(64));
         let tracer = nitro_trace::Tracer::new(sink.clone());
-        cv.declare_tracer_metrics(&tracer);
+        cv.bind_metrics(tracer.metrics());
         cv.context().install_tracer(tracer.clone());
 
         cv.call(&1.0).unwrap(); // predicted 0, runs 0
@@ -1098,6 +1070,26 @@ mod tests {
     }
 
     #[test]
+    fn bound_metrics_record_untraced_dispatches() {
+        let registry = nitro_trace::MetricsRegistry::with_stripes(2);
+        let mut cv = toy();
+        cv.bind_metrics(&registry);
+        for i in 0..20 {
+            cv.call(&(i as f64)).unwrap();
+        }
+        // No model installed: the default variant wins every call.
+        assert_eq!(registry.counter_value("dispatch.toy.calls"), Some(20));
+        assert_eq!(registry.counter_value("dispatch.toy.win.small"), Some(20));
+        assert_eq!(registry.counter_value("dispatch.toy.win.large"), Some(0));
+        cv.fix_inputs(Arc::new(3.0));
+        cv.call_fixed().unwrap();
+        assert_eq!(registry.counter_value("dispatch.toy.async_calls"), Some(1));
+        let latency = registry.fused_sketch("dispatch.toy.latency_ns").unwrap();
+        assert_eq!(latency.count(), 21);
+        assert!(latency.quantile(0.5) > 0.0);
+    }
+
+    #[test]
     fn svm_dispatch_counts_kernel_evaluations() {
         let mut cv = toy();
         let data = Dataset::from_parts(
@@ -1114,7 +1106,7 @@ mod tests {
             &data,
         ));
         let tracer = nitro_trace::Tracer::new(Arc::new(nitro_trace::RingSink::new(16)));
-        cv.declare_tracer_metrics(&tracer);
+        cv.bind_metrics(tracer.metrics());
         cv.context().install_tracer(tracer.clone());
 
         cv.call(&1.0).unwrap();
@@ -1128,7 +1120,7 @@ mod tests {
         let mut knn = toy();
         knn.install_model(toy_model());
         let t2 = nitro_trace::Tracer::new(Arc::new(nitro_trace::RingSink::new(16)));
-        knn.declare_tracer_metrics(&t2);
+        knn.bind_metrics(t2.metrics());
         knn.context().install_tracer(t2.clone());
         knn.call(&1.0).unwrap();
         assert_eq!(

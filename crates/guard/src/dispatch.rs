@@ -61,11 +61,11 @@ thread_local! {
 }
 
 /// What the model evaluations of one call cost, for the dispatch
-/// observer.
+/// record.
 #[derive(Debug, Clone, Copy, Default)]
 struct ModelCost {
     kernel_evals: u64,
-    /// Zero unless an observer asked for the clock to be read.
+    /// Zero unless the dispatch is recorded (`CodeVariant::is_observed`).
     predict_wall_ns: u64,
 }
 
@@ -707,8 +707,8 @@ impl<I: ?Sized> GuardedVariant<I> {
     /// missing features evaluated), with the head re-inserted first. A
     /// served head is the whole reported cascade, and the constraints of
     /// the candidates below it are never evaluated. Every call ticks the
-    /// breakers, counts its events, emits its span and reports to the
-    /// dispatch observer once. All guard state is atomic, so one guard behind an
+    /// breakers, counts its events, emits its span and reports through
+    /// `CodeVariant::observe_dispatch` once. All guard state is atomic, so one guard behind an
     /// `Arc` serves every worker shard with no lock on this path.
     ///
     /// Errors: [`NitroError::NoHealthyVariant`] when every candidate is
@@ -755,7 +755,7 @@ impl<I: ?Sized> GuardedVariant<I> {
             )
         });
 
-        let observed = self.cv.dispatch_observer().is_some();
+        let observed = self.cv.is_observed();
         let mut model_cost = ModelCost::default();
         let head = match head {
             // The paper's dispatch needs only the vote winner; the ranked

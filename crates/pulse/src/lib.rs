@@ -2,17 +2,16 @@
 //!
 //! Metrics live in one store, `nitro-trace`'s [`MetricsRegistry`]:
 //! striped lock-free counters, gauges and quantile sketches whose
-//! snapshots export as a [`MetricsSnapshot`]. This crate builds the
-//! serving-side telemetry on top of it:
+//! snapshots export as a [`MetricsSnapshot`]. A tuned function records
+//! its own `dispatch.<fn>.*` metrics there once
+//! `CodeVariant::bind_metrics` has registered them. This crate builds
+//! the serving-side telemetry on top of that store:
 //!
-//! * **Dispatch observation** ([`FunctionPulse`]): registers a tuned
-//!   function's whole metric set once and records every call through
-//!   `nitro-core`'s [`DispatchObserver`] hook — a handful of relaxed
-//!   atomic ops per dispatch, no lock, no allocation, no formatting.
-//! * **Continuous dispatch profiling** ([`PulseProfiler`]): every Kth
-//!   `CodeVariant::call` is sampled into per-(function, variant,
-//!   feature-regime) latency sketches, exported as collapsed-stack
-//!   (flamegraph-compatible) text and a JSON profile.
+//! * **Continuous dispatch profiling** ([`PulseProfiler`]): installed as
+//!   a function's `nitro-core` [`DispatchObserver`], it samples every Kth
+//!   dispatch into per-(function, variant, feature-regime) latency
+//!   sketches, exported as collapsed-stack (flamegraph-compatible) text
+//!   and a JSON profile.
 //! * **SLO watchdogs** ([`SloSpec`], [`SloWatchdog`], [`PulseAlert`]):
 //!   declarative objectives (`p99(dispatch.latency) < X`,
 //!   `rate(guard.fallback) < 5%`) evaluated over sliding windows with
@@ -30,11 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod dispatch;
 pub mod profiler;
 pub mod slo;
 
 pub use audit::{audit_registry, audit_slos, MetricCadence};
-pub use dispatch::FunctionPulse;
 pub use profiler::{feature_regime, ProfileEntry, ProfileReport, PulseProfiler};
 pub use slo::{AlertKind, AlertSeverity, PulseAlert, SloExpr, SloSpec, SloWatchdog, WindowSpec};

@@ -1,6 +1,10 @@
 //! Continuous dispatch profiling: sample every Kth call into
 //! per-(function, variant, feature-regime) latency sketches.
 //!
+//! A [`PulseProfiler`] is a `nitro-core` [`DispatchObserver`]: install a
+//! clone with `CodeVariant::set_dispatch_observer` and it samples every
+//! plain or guarded dispatch of that function.
+//!
 //! The profiler is built for always-on use: the sampling decision is
 //! one relaxed `fetch_add` on the caller's stripe, and only the 1-in-K
 //! sampled calls take the profile-map lock. Profiles export two ways —
@@ -12,6 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use parking_lot::Mutex;
 
+use nitro_core::{DispatchObservation, DispatchObserver};
 use nitro_trace::{default_stripes, QuantileSketch, SketchConfig, StripedU64};
 
 /// Feature-regime quantization used by default: the order of magnitude
@@ -235,9 +240,44 @@ impl PulseProfiler {
     }
 }
 
+impl DispatchObserver for PulseProfiler {
+    /// Sample every Kth dispatch into its cell, keyed on the variant
+    /// that ran and the regime of the features it was selected on.
+    #[inline]
+    fn on_dispatch(&self, observation: &DispatchObservation<'_>) {
+        if self.should_sample() {
+            let o = &observation.record;
+            self.record_sample(
+                observation.function,
+                observation.variant_name,
+                feature_regime(o.features),
+                o.objective_ns,
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nitro_core::{CodeVariant, Context, FnFeature, FnVariant};
+
+    #[test]
+    fn samples_dispatches_as_their_observer() {
+        let mut cv = CodeVariant::<f64>::new("toy", &Context::new());
+        cv.add_variant(FnVariant::new("a", |x: &f64| *x + 100.0));
+        cv.add_variant(FnVariant::new("b", |x: &f64| *x + 200.0));
+        cv.set_default(0);
+        cv.add_input_feature(FnFeature::new("x", |x: &f64| *x));
+        let profiler = PulseProfiler::new(4);
+        cv.set_dispatch_observer(std::sync::Arc::new(profiler.clone()));
+        for i in 0..40 {
+            cv.call(&(i as f64)).unwrap();
+        }
+        assert_eq!(profiler.sampled(), 10);
+        let collapsed = profiler.collapsed();
+        assert!(collapsed.contains("nitro;dispatch;toy;a;"), "{collapsed}");
+    }
 
     #[test]
     fn samples_every_kth_call_per_thread() {

@@ -5,8 +5,8 @@
 //! - A traced tuning and dispatch run of the sort suite's small sets.
 //! - A guarded run of the same suite under a seeded launch-fault plan,
 //!   with one variant failing on every call for a first pass over the
-//!   test set and healthy again for a second, and a `FunctionPulse`
-//!   observer on the wrapped function.
+//!   test set and healthy again for a second, and the wrapped
+//!   function's dispatch metrics bound to a registry of their own.
 //!
 //! A second test pins the `serve.<fn>.*` metrics of a lockstep
 //! `ServeFront` run on a manual clock.
@@ -26,7 +26,6 @@ use nitro::core::{
 };
 use nitro::guard::{inject_failures, GuardPolicy, GuardStats, GuardedVariant};
 use nitro::ml::{Dataset, TrainedModel};
-use nitro::pulse::FunctionPulse;
 use nitro::serve::{Rejection, ServeClock, ServeConfig, ServeFront, ServeOutcome, ShardState};
 use nitro::simt::{
     install_fault_plan, silence_injected_panics, uninstall_fault_plan, DeviceConfig, FaultPlan,
@@ -45,6 +44,7 @@ struct Expected {
 
 const TRACED: Expected = Expected {
     counters: &[
+        ("dispatch.sort.async_calls", 0),
         ("dispatch.sort.calls", 24),
         ("dispatch.sort.fallback", 0),
         ("dispatch.sort.veto.Locality", 0),
@@ -69,6 +69,7 @@ const TRACED: Expected = Expected {
     ],
     histograms: &[
         ("dispatch.sort.feature_ns", 24),
+        ("dispatch.sort.latency_ns", 24),
         ("dispatch.sort.predict_ns", 24),
         ("simt.launch.dram_bytes", 69),
         ("simt.launch.elapsed_ns", 69),
@@ -117,7 +118,7 @@ const GUARD_OBSERVER: Expected = Expected {
     histograms: &[
         ("dispatch.sort.feature_ns", 46),
         ("dispatch.sort.latency_ns", 46),
-        ("ml.sort.predict_ns", 46),
+        ("dispatch.sort.predict_ns", 46),
     ],
 };
 /// The guard's own statistics over the guarded run.
@@ -194,7 +195,7 @@ fn traced_sort_run() -> MetricsSnapshot {
 
     let tracer = Tracer::new(Arc::new(RingSink::new(1 << 16)));
     ctx.install_tracer(tracer.clone());
-    cv.declare_tracer_metrics(&tracer);
+    cv.bind_metrics(tracer.metrics());
     nitro::trace::install_global(tracer.clone());
     Autotuner::new().tune(&mut cv, &train).unwrap();
     for input in &test {
@@ -218,7 +219,7 @@ fn guarded_faulty_run() -> (MetricsSnapshot, MetricsSnapshot, GuardStats) {
     ctx.install_tracer(tracer.clone());
     nitro::trace::install_global(tracer.clone());
     let registry = MetricsRegistry::with_stripes(2);
-    FunctionPulse::install(&mut cv, &registry, None);
+    cv.bind_metrics(&registry);
     let policy = GuardPolicy {
         retry_budget: 2,
         quarantine_threshold: 6,

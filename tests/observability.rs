@@ -1,12 +1,17 @@
 //! End-to-end observability: a tracer installed through the facade sees
 //! every layer — tuner phases, profiling instants, dispatch spans and
-//! simulator launches — and the exported artifacts are well-formed.
+//! simulator launches — and the exported artifacts are well-formed; and
+//! every dispatch is counted once, however its recorders are wired.
 
 use std::sync::Arc;
 
-use nitro::core::{ClassifierConfig, Context};
+use nitro::core::{ClassifierConfig, CodeVariant, Context, FnFeature, FnVariant};
+use nitro::guard::{GuardPolicy, GuardedVariant};
+use nitro::pulse::PulseProfiler;
 use nitro::simt::DeviceConfig;
-use nitro::trace::{validate_chrome_trace, ChromeSink, MetricsSnapshot, RegretLedger, Tracer};
+use nitro::trace::{
+    validate_chrome_trace, ChromeSink, MetricsSnapshot, RegretLedger, RingSink, Tracer,
+};
 use nitro::tuner::{Autotuner, ProfileTable};
 
 /// One test exercises the whole traced pipeline: the process-global slot
@@ -22,7 +27,7 @@ fn traced_sort_pipeline_emits_valid_artifacts() {
     let sink = Arc::new(ChromeSink::new());
     let tracer = Tracer::new(sink.clone());
     ctx.install_tracer(tracer.clone());
-    cv.declare_tracer_metrics(&tracer);
+    cv.bind_metrics(tracer.metrics());
     nitro::trace::install_global(tracer.clone());
 
     let report = Autotuner::new().tune(&mut cv, &train).unwrap();
@@ -96,4 +101,32 @@ fn traced_sort_pipeline_emits_valid_artifacts() {
         "{}",
         nitro::audit::render_text(&diags)
     );
+}
+
+/// A traced function whose metrics are bound twice to the tracer's
+/// registry, with a profiler watching too, still counts each call once,
+/// plain or guarded.
+#[test]
+fn one_call_counts_once() {
+    let ctx = Context::new();
+    let tracer = Tracer::new(Arc::new(RingSink::new(64)));
+    ctx.install_tracer(tracer.clone());
+    let mut cv = CodeVariant::<f64>::new("once", &ctx);
+    cv.add_variant(FnVariant::new("a", |&x: &f64| x + 1.0));
+    cv.add_variant(FnVariant::new("b", |&x: &f64| 10.0 - x));
+    cv.set_default(0);
+    cv.add_input_feature(FnFeature::new("x", |&x: &f64| x));
+    cv.bind_metrics(tracer.metrics());
+    cv.bind_metrics(tracer.metrics());
+    let profiler = PulseProfiler::new(1);
+    cv.set_dispatch_observer(Arc::new(profiler.clone()));
+
+    let calls = || tracer.metrics().counter_value("dispatch.once.calls");
+    cv.call(&1.0).unwrap();
+    assert_eq!(calls(), Some(1), "one traced CodeVariant::call");
+    let guard = GuardedVariant::new(cv, GuardPolicy::default()).unwrap();
+    guard.call(&2.0).unwrap();
+    assert_eq!(calls(), Some(2), "plus one GuardedVariant::call");
+    assert_eq!(profiler.sampled(), 2);
+    ctx.clear_tracer();
 }
