@@ -1,37 +1,29 @@
 //! Whole-stack chaos campaign over the serving front door: seeded
-//! faults on every layer, request-lineage conservation checking, and a
-//! deterministic-replay gate.
+//! faults on every layer at once, with request-lineage conservation
+//! checking.
 //!
 //! ```text
 //! NITRO_SCALE=small cargo run -p nitro-bench --release --bin chaos_serve_report
 //! ```
 //!
-//! Two phases, one [`ChaosPlan`] seed:
+//! **Phase B — concurrent storm.** A supervised wall-clock
+//! [`ServeFront`] with real simt kernel launches runs one [`ChaosPlan`]
+//! campaign concurrently: seeded launch faults
+//! ([`FaultPlan`](nitro_simt::FaultPlan)), zipf tenants, shard-killing
+//! and poison requests, skew jumps through [`ServeClock::skewed`], alert
+//! storms with relaxes, and mid-campaign model publishes through an
+//! [`ArtifactStore`] whose filesystem runs under the plan's
+//! [`ChaosFs`](nitro_core::fsio::ChaosFs) — only checksum-verified
+//! artifacts (`load_latest_intact`) are ever handed to the front.
+//! (Phase A, the lockstep campaign run twice on a manual clock for
+//! deterministic replay, is the tier-1 test `tests/lineage.rs`.)
 //!
-//! * **Phase A — lockstep replay.** A supervised [`ServeFront`] on a
-//!   *manual* clock is driven one request at a time through a campaign
-//!   of shard-killing requests, a poison pill, clock-skew jumps and
-//!   alert storms. Restart backoff reads the serve clock, so the test
-//!   advances time deterministically and waits out every death before
-//!   the next submission. The whole campaign runs **twice** and the
-//!   per-request outcome sequence plus every supervision counter must
-//!   match exactly.
-//! * **Phase B — concurrent storm.** A wall-clock front with real simt
-//!   kernel launches runs the campaign concurrently: seeded launch
-//!   faults ([`FaultPlan`](nitro_simt::FaultPlan)), zipf tenants, grenade
-//!   and poison requests,
-//!   skew jumps through [`ServeClock::skewed`], alert storms with
-//!   relaxes, and mid-campaign model publishes through an
-//!   [`ArtifactStore`] whose filesystem runs under the plan's
-//!   [`ChaosFs`](nitro_core::fsio::ChaosFs) — only checksum-verified artifacts
-//!   (`load_latest_intact`) are ever handed to the front.
-//!
-//! Writes `target/BENCH_chaos.json` (plus plans and per-run outcome
-//! dumps under `target/nitro-chaos/`) and exits nonzero if any gate
-//! fails: a conservation violation, a panic past the worker backstop, a
-//! killed shard neither recovered nor retired, an unquarantined poison
-//! pill, an untyped store error, a corrupt artifact served, fewer than
-//! three fault classes exercised, or a replay divergence.
+//! Writes `target/BENCH_chaos.json` (plus the plan under
+//! `target/nitro-chaos/`) and exits nonzero if any gate fails: a
+//! conservation violation, a panic past the worker backstop, a killed
+//! shard neither recovered nor retired, an unquarantined poison pill,
+//! an untyped store error, a corrupt artifact served, or fewer than
+//! three fault classes exercised.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -50,7 +42,7 @@ use nitro_guard::{ChaosPlan, GuardPolicy};
 use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
 use nitro_pulse::{AlertKind, AlertSeverity, PulseAlert};
 use nitro_serve::{
-    Rejection, ServeClock, ServeConfig, ServeFront, ServeOutcome, ShardState, SupervisorConfig,
+    ServeClock, ServeConfig, ServeFront, ServeOutcome, ShardState, SupervisorConfig,
 };
 use nitro_simt::{
     install_fault_plan, silence_injected_panics, uninstall_fault_plan, Gpu, Schedule,
@@ -63,10 +55,6 @@ use serde::Serialize;
 /// Deadline budget on every request — generous, so chaos is absorbed by
 /// supervision and shedding, not by deadline misses.
 const BUDGET_NS: u64 = 500_000_000;
-
-/// Serve-clock allowance that covers any restart backoff the campaign
-/// can arm (budget 4 → worst backoff 16 ms).
-const HEAL_ADVANCE_NS: u64 = 100_000_000;
 
 /// What a request carries besides its feature value.
 #[derive(Clone)]
@@ -87,7 +75,7 @@ struct ChaosInput {
     payload: Payload,
 }
 
-/// Per-attempt launch salt (phase B): injected launch failures redraw
+/// Per-attempt launch salt: injected launch failures redraw
 /// per attempt, so guard retries can rescue an unlucky launch.
 static LAUNCH_SALT: AtomicU64 = AtomicU64::new(0);
 
@@ -99,41 +87,30 @@ fn attempt_seed(base: u64) -> u64 {
 /// The served registration. The *feature* detonates kill/poison
 /// payloads — feature panics escape the guard (which only absorbs
 /// variant-body panics) and hit the worker backstop, which is exactly
-/// the seam shard supervision exists for. `launches` switches the
-/// variant bodies between real simt kernel launches (phase B, so the
-/// fault plan can kill them) and pure math (phase A, deterministic).
-fn chaos_cv(ctx: &Context, launches: bool) -> CodeVariant<ChaosInput> {
+/// the seam shard supervision exists for. The variant bodies are real
+/// simt kernel launches, so the fault plan can kill them.
+fn chaos_cv(ctx: &Context) -> CodeVariant<ChaosInput> {
     let mut cv = CodeVariant::new("chaos", ctx);
-    if launches {
-        let cfg = device();
-        {
-            let cfg = cfg.clone();
-            cv.add_variant(FnVariant::new("lean", move |inp: &ChaosInput| {
-                let gpu = Gpu::with_seed(cfg.clone(), attempt_seed(inp.gpu_seed));
-                let work = 2_000 + (inp.x * 400.0) as u64;
-                let stats = gpu.launch("chaos_lean", 1, Schedule::EvenShare, |_b, bctx| {
-                    bctx.charge_ops(work);
-                });
-                stats.elapsed_ns
-            }));
-        }
-        {
-            let cfg = cfg.clone();
-            cv.add_variant(FnVariant::new("thorough", move |inp: &ChaosInput| {
-                let gpu = Gpu::with_seed(cfg.clone(), attempt_seed(inp.gpu_seed ^ 0xA5A5));
-                let work = 6_000 + (inp.x * 100.0) as u64;
-                let stats = gpu.launch("chaos_thorough", 2, Schedule::Dynamic, |_b, bctx| {
-                    bctx.charge_ops(work);
-                });
-                stats.elapsed_ns
-            }));
-        }
-    } else {
-        cv.add_variant(FnVariant::new("lean", |inp: &ChaosInput| 1.0 + inp.x));
-        cv.add_variant(FnVariant::new("thorough", |inp: &ChaosInput| {
-            10.0 - inp.x * 0.5
+    let cfg = device();
+    {
+        let cfg = cfg.clone();
+        cv.add_variant(FnVariant::new("lean", move |inp: &ChaosInput| {
+            let gpu = Gpu::with_seed(cfg.clone(), attempt_seed(inp.gpu_seed));
+            let work = 2_000 + (inp.x * 400.0) as u64;
+            let stats = gpu.launch("chaos_lean", 1, Schedule::EvenShare, |_b, bctx| {
+                bctx.charge_ops(work);
+            });
+            stats.elapsed_ns
         }));
     }
+    cv.add_variant(FnVariant::new("thorough", move |inp: &ChaosInput| {
+        let gpu = Gpu::with_seed(cfg.clone(), attempt_seed(inp.gpu_seed ^ 0xA5A5));
+        let work = 6_000 + (inp.x * 100.0) as u64;
+        let stats = gpu.launch("chaos_thorough", 2, Schedule::Dynamic, |_b, bctx| {
+            bctx.charge_ops(work);
+        });
+        stats.elapsed_ns
+    }));
     cv.set_default(0);
     cv.add_input_feature(FnFeature::new("x", |inp: &ChaosInput| {
         match &inp.payload {
@@ -159,9 +136,9 @@ fn split_model(lo: usize, hi: usize) -> TrainedModel {
     TrainedModel::train(&ClassifierConfig::Knn { k: 1 }, &data)
 }
 
-fn artifact_with(model: TrainedModel, launches: bool) -> BenchResult<ModelArtifact> {
+fn artifact_with(model: TrainedModel) -> BenchResult<ModelArtifact> {
     let ctx = Context::new();
-    let mut cv = chaos_cv(&ctx, launches);
+    let mut cv = chaos_cv(&ctx);
     cv.install_model(model);
     cv.export_artifact().map_err(BenchError::Nitro)
 }
@@ -199,151 +176,12 @@ fn outcome_class(outcome: &ServeOutcome) -> &'static str {
     }
 }
 
-fn rejection_class(rejection: &Rejection) -> &'static str {
-    match rejection {
-        Rejection::DeadlineExpired => "rejected_expired",
-        Rejection::TenantThrottled => "rejected_tenant",
-        Rejection::QueueFull { .. } => "rejected_queue",
-        Rejection::NoLiveShards => "rejected_no_live_shards",
-    }
-}
-
 fn histogram(classes: &[String]) -> Vec<(String, u64)> {
     let mut h = BTreeMap::new();
     for c in classes {
         *h.entry(c.clone()).or_insert(0u64) += 1;
     }
     h.into_iter().collect()
-}
-
-/// Everything one lockstep run produced that the replay gate compares.
-#[derive(Serialize, PartialEq, Clone)]
-struct LockstepTrace {
-    classes: Vec<String>,
-    shard_deaths: u64,
-    shard_restarts: u64,
-    shards_retired: u64,
-    poison_quarantined: u64,
-    escaped_panics: u64,
-    /// `(shard, lineage)` of every escaped panic, in order.
-    panic_attribution: Vec<(usize, u64)>,
-    final_states: Vec<ShardState>,
-}
-
-struct LockstepRun {
-    trace: LockstepTrace,
-    conserved: bool,
-    violations: Vec<String>,
-    diagnostic_codes: Vec<String>,
-    workers_failed: usize,
-}
-
-/// Drive the plan's campaign in lockstep on a manual clock: one request
-/// in flight at a time, serve-time advanced deterministically, every
-/// shard death waited out (restart or retirement) before the next
-/// submission. Under a fixed seed this is exactly reproducible.
-fn lockstep_run(plan: &ChaosPlan) -> BenchResult<LockstepRun> {
-    let (clock, hand) = ServeClock::manual();
-    let config = ServeConfig {
-        shards: 3,
-        queue_capacity: Some(32),
-        tenant_slots: 64,
-        tenant_rate_per_s: 1_000_000.0,
-        tenant_burst: 10_000,
-        hopeless_shedding: false,
-        supervision: SupervisorConfig::default(),
-        ..ServeConfig::default()
-    };
-    let front = ServeFront::start(config, GuardPolicy::default(), clock.clone(), None, |_| {
-        chaos_cv(&Context::new(), false)
-    })
-    .map_err(BenchError::Nitro)?;
-    front.publish_artifact(artifact_with(split_model(0, 1), false)?);
-
-    let mut tenants = ZipfSampler::new(12, 1.2, plan.seed);
-    let mut classes = Vec::with_capacity(plan.requests as usize);
-    for i in 0..plan.requests {
-        if let Some(ns) = plan.skew_at(i) {
-            hand.fetch_add(ns, Ordering::SeqCst);
-        }
-        if let Some(pages) = plan.storm_at(i) {
-            for _ in 0..pages {
-                front.ingest_alert(&page_alert());
-            }
-        }
-        let tenant = tenants.next_rank() as u32;
-        let x = (mix64(plan.seed ^ i) % 1_000) as f64 / 100.0;
-        let priority = match i % 3 {
-            0 => Priority::Interactive,
-            1 => Priority::Standard,
-            _ => Priority::Batch,
-        };
-        let meta = RequestMeta::new(TenantId(tenant), priority, clock.now_ns(), BUDGET_NS);
-        let input = ChaosInput {
-            x,
-            gpu_seed: 0,
-            payload: payload_for(plan, i),
-        };
-        let class = match front.submit(input, meta) {
-            Ok(ticket) => outcome_class(&ticket.wait()).to_string(),
-            Err(r) => rejection_class(&r).to_string(),
-        };
-        classes.push(class);
-        hand.fetch_add(10_000, Ordering::SeqCst);
-        // Heal before the next request: advance past any restart
-        // backoff and wait until no shard is Dead (Up or Retired both
-        // count — retirement is a legitimate terminal answer).
-        if front.shard_states().contains(&ShardState::Dead) {
-            hand.fetch_add(HEAL_ADVANCE_NS, Ordering::SeqCst);
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while front.shard_states().contains(&ShardState::Dead) {
-                if Instant::now() > deadline {
-                    return Err(BenchError::Invalid(format!(
-                        "shard stuck Dead after request {i} despite healed clock"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-
-    let final_states = front.shard_states();
-    let summary = front.shutdown();
-    let accounting = summary.accounting;
-    Ok(LockstepRun {
-        trace: LockstepTrace {
-            classes,
-            shard_deaths: summary.shard_deaths,
-            shard_restarts: summary.shard_restarts,
-            shards_retired: summary.shards_retired,
-            poison_quarantined: summary.accounting.quarantined,
-            escaped_panics: summary.escaped_panics,
-            panic_attribution: summary
-                .panic_records
-                .iter()
-                .map(|r| (r.shard, r.lineage))
-                .collect(),
-            final_states,
-        },
-        conserved: accounting.is_conserved(),
-        violations: accounting.violations(),
-        diagnostic_codes: summary.diagnostics.iter().map(|d| d.code.clone()).collect(),
-        workers_failed: summary.workers_failed,
-    })
-}
-
-#[derive(Serialize)]
-struct PhaseAReport {
-    requests: u64,
-    outcomes: Vec<(String, u64)>,
-    shard_deaths: u64,
-    shard_restarts: u64,
-    shards_retired: u64,
-    poison_quarantined: u64,
-    escaped_panics: u64,
-    conserved: bool,
-    replay_identical: bool,
-    diagnostic_codes: Vec<String>,
 }
 
 #[derive(Serialize)]
@@ -381,8 +219,6 @@ struct PhaseBReport {
 
 #[derive(Serialize)]
 struct Gates {
-    deterministic_replay: bool,
-    conservation_phase_a: bool,
     conservation_phase_b: bool,
     zero_backstop_escapes: bool,
     killed_shards_recovered_or_retired: bool,
@@ -397,7 +233,6 @@ struct ChaosServeReport {
     scale: String,
     seed: u64,
     fault_classes: Vec<String>,
-    phase_a: PhaseAReport,
     phase_b: PhaseBReport,
     gates: Gates,
     failures: Vec<String>,
@@ -445,7 +280,7 @@ fn storm_run(plan: &ChaosPlan) -> BenchResult<PhaseBOutcome> {
         },
         clock.clone(),
         Some(&registry),
-        |_| chaos_cv(&Context::new(), true),
+        |_| chaos_cv(&Context::new()),
     )
     .map_err(BenchError::Nitro)?;
 
@@ -507,7 +342,7 @@ fn storm_run(plan: &ChaosPlan) -> BenchResult<PhaseBOutcome> {
             } else {
                 split_model(1, 1)
             };
-            match store.publish(&artifact_with(model, true)?, "chaos publish") {
+            match store.publish(&artifact_with(model)?, "chaos publish") {
                 Ok(_) => churn.publishes_ok += 1,
                 Err(NitroError::Io(_)) | Err(NitroError::Audit { .. }) => {
                     churn.publish_faults_typed += 1;
@@ -652,111 +487,25 @@ fn run() -> BenchResult<()> {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(spec.seed);
-    let requests_a = if spec.small { 120 } else { 400 };
-    let requests_b = if spec.small { 240 } else { 960 };
-
-    // Phase A exercises the deterministic layers only: launch and fs
-    // probabilities are zeroed so the lockstep replay is bit-exact.
-    let mut plan_a = ChaosPlan::from_seed(seed, requests_a);
-    plan_a.launch_failure_prob = 0.0;
-    plan_a.slowdown_prob = 0.0;
-    plan_a.fs_torn_write = 0.0;
-    plan_a.fs_no_space = 0.0;
-    plan_a.fs_read_error = 0.0;
-    plan_a.fs_rename_failed = 0.0;
-    let plan_b = ChaosPlan::from_seed(seed ^ 0xB00B, requests_b);
-
-    let dir = out_dir();
+    let requests = if spec.small { 240 } else { 960 };
+    let plan = ChaosPlan::from_seed(seed ^ 0xB00B, requests);
     write_file(
-        &dir.join("plan_a.json"),
-        &to_json_pretty("phase A plan", &plan_a)?,
-    )?;
-    write_file(
-        &dir.join("plan_b.json"),
-        &to_json_pretty("phase B plan", &plan_b)?,
+        &out_dir().join("plan_b.json"),
+        &to_json_pretty("phase B plan", &plan)?,
     )?;
 
-    // ---- Phase A: the same campaign, twice --------------------------
-    let run1 = lockstep_run(&plan_a)?;
-    let run2 = lockstep_run(&plan_a)?;
-    let replay_identical = run1.trace == run2.trace;
-    write_file(
-        &dir.join("lockstep_run1.json"),
-        &to_json_pretty("lockstep run 1", &run1.trace)?,
-    )?;
-    write_file(
-        &dir.join("lockstep_run2.json"),
-        &to_json_pretty("lockstep run 2", &run2.trace)?,
-    )?;
-
-    let mut failures = Vec::new();
-    if !replay_identical {
-        failures.push("phase A replay diverged between identically-seeded runs".to_string());
-    }
-    for (label, run) in [("run 1", &run1), ("run 2", &run2)] {
-        if !run.conserved {
-            failures.push(format!(
-                "phase A {label} conservation violated: {}",
-                run.violations.join("; ")
-            ));
-        }
-        if run.workers_failed > 0 {
-            failures.push(format!(
-                "phase A {label}: {} worker(s) died past the backstop",
-                run.workers_failed
-            ));
-        }
-        if run.diagnostic_codes.iter().any(|c| c == "NITRO114") {
-            failures.push(format!("phase A {label} raised NITRO114"));
-        }
-    }
-    if run1.trace.final_states.contains(&ShardState::Dead) {
-        failures.push(format!(
-            "phase A ended with a shard stuck Dead: {:?}",
-            run1.trace.final_states
-        ));
-    }
-    if run1.trace.shard_deaths == 0 || run1.trace.shard_restarts == 0 {
-        failures.push(format!(
-            "phase A campaign never exercised supervision (deaths {}, restarts {})",
-            run1.trace.shard_deaths, run1.trace.shard_restarts
-        ));
-    }
-    if run1.trace.poison_quarantined == 0 {
-        failures.push("phase A poison pill was never quarantined".to_string());
-    }
-    for code in ["NITRO110", "NITRO112"] {
-        if !run1.trace.shards_retired > 0 && !run1.diagnostic_codes.iter().any(|c| c == code) {
-            failures.push(format!("phase A never emitted {code}"));
-        }
-    }
-
-    let phase_a = PhaseAReport {
-        requests: plan_a.requests,
-        outcomes: histogram(&run1.trace.classes),
-        shard_deaths: run1.trace.shard_deaths,
-        shard_restarts: run1.trace.shard_restarts,
-        shards_retired: run1.trace.shards_retired,
-        poison_quarantined: run1.trace.poison_quarantined,
-        escaped_panics: run1.trace.escaped_panics,
-        conserved: run1.conserved && run2.conserved,
-        replay_identical,
-        diagnostic_codes: run1.diagnostic_codes.clone(),
-    };
-
-    // ---- Phase B: the concurrent storm ------------------------------
-    let storm = storm_run(&plan_b)?;
-    failures.extend(storm.failures.iter().cloned());
+    let PhaseBOutcome {
+        report: phase_b,
+        mut failures,
+    } = storm_run(&plan)?;
 
     // ---- Fault-class coverage ---------------------------------------
-    let mut fault_classes: Vec<String> = plan_a
+    let mut fault_classes: Vec<String> = plan
         .fault_classes()
         .into_iter()
-        .chain(plan_b.fault_classes())
         .map(str::to_string)
         .collect();
     fault_classes.sort_unstable();
-    fault_classes.dedup();
     if fault_classes.len() < 3 {
         failures.push(format!(
             "campaign exercised only {} fault class(es): {fault_classes:?}",
@@ -765,23 +514,13 @@ fn run() -> BenchResult<()> {
     }
 
     let gates = Gates {
-        deterministic_replay: replay_identical,
-        conservation_phase_a: run1.conserved && run2.conserved,
-        conservation_phase_b: storm.report.conserved,
-        zero_backstop_escapes: run1.workers_failed == 0
-            && run2.workers_failed == 0
-            && storm.report.workers_failed == 0,
-        killed_shards_recovered_or_retired: !run1
-            .trace
-            .final_states
-            .iter()
-            .chain(&storm.report.final_states)
-            .any(|s| *s == ShardState::Dead),
-        poison_pills_quarantined: run1.trace.poison_quarantined > 0
-            && (!storm.report.poison_admitted || storm.report.poison_quarantined > 0),
-        store_faults_typed: storm.report.store.publish_faults_untyped == 0,
-        zero_corrupt_artifacts_served: storm.report.store.intact_loads_published > 0
-            && storm.report.store.publish_faults_untyped == 0,
+        conservation_phase_b: phase_b.conserved,
+        zero_backstop_escapes: phase_b.workers_failed == 0,
+        killed_shards_recovered_or_retired: !phase_b.final_states.contains(&ShardState::Dead),
+        poison_pills_quarantined: !phase_b.poison_admitted || phase_b.poison_quarantined > 0,
+        store_faults_typed: phase_b.store.publish_faults_untyped == 0,
+        zero_corrupt_artifacts_served: phase_b.store.intact_loads_published > 0
+            && phase_b.store.publish_faults_untyped == 0,
         min_fault_classes: fault_classes.len() >= 3,
     };
 
@@ -789,8 +528,7 @@ fn run() -> BenchResult<()> {
         scale: if spec.small { "small" } else { "full" }.to_string(),
         seed,
         fault_classes,
-        phase_a,
-        phase_b: storm.report,
+        phase_b,
         gates,
         failures: failures.clone(),
     };
@@ -817,21 +555,6 @@ fn print_summary(report: &ChaosServeReport, path: &Path) {
         report.seed,
         report.fault_classes.join(", ")
     );
-    println!(
-        "  phase A (lockstep ×2): {} requests · deaths {} · restarts {} · retired {} · \
-         quarantined {} · replay {}",
-        report.phase_a.requests,
-        report.phase_a.shard_deaths,
-        report.phase_a.shard_restarts,
-        report.phase_a.shards_retired,
-        report.phase_a.poison_quarantined,
-        if report.phase_a.replay_identical {
-            "identical"
-        } else {
-            "DIVERGED"
-        },
-    );
-    println!("  phase A outcomes: {:?}", report.phase_a.outcomes);
     println!(
         "  phase B (storm): {} requests · {} admitted · deaths {} · restarts {} · \
          quarantined {} · launch faults {} · conserved {}",

@@ -12,7 +12,7 @@ use nitro_bench::{
     SuiteSpec, SuiteVisitor,
 };
 use nitro_core::Context;
-use nitro_tuner::{evaluate_model, Autotuner, ProfileTable};
+use nitro_tuner::{evaluate_model, Autotuner};
 
 const MAX_ITERS: usize = 50;
 
@@ -47,7 +47,7 @@ impl SuiteVisitor for Fig7 {
 
         // Baseline: full-training-set performance.
         cv.policy_mut().incremental = None;
-        let train_table = ProfileTable::build(cv, suite.train);
+        let train_table = cached_table(&spec.tag(suite.name, "train"), cv, suite.train, spec.cache);
         Autotuner::new().tune_from_table(cv, &train_table)?;
         let full_model = cv.export_artifact()?.model;
         let full = evaluate_model(test_table, &full_model, cv.default_variant()).mean_relative_perf;

@@ -1,30 +1,25 @@
-//! Lifecycle report: exercise `nitro-store`'s durability guarantees over
-//! every benchmark suite and assert that they hold end to end.
+//! Lifecycle report: exercise `nitro-store`'s promotion and rollback
+//! guarantees over every benchmark suite and assert that they hold end
+//! to end.
 //!
 //! ```text
 //! NITRO_SCALE=small cargo run -p nitro-bench --bin lifecycle_report
 //! ```
 //!
-//! Per suite the harness runs six phases:
+//! Per suite the harness tunes once with [`Autotuner::tune`] and then
+//! runs three phases. (Durable tuning, its kill and its byte-identical
+//! resume are tier-1 tests: `tests/selections.rs` on all five suites,
+//! `tests/wal_resume.rs` and `tests/lifecycle.rs`.)
 //!
-//! 1. **tune** — a plain tune and a journaled [`Autotuner::tune_durable`]
-//!    run over the same corpus must export byte-identical artifacts;
-//! 2. **kill mid-tune** — a fresh durable run is killed at an arbitrary
-//!    journal offset via [`TuningJournal::kill_after_appends`], leaving a
-//!    torn tail on disk;
-//! 3. **resume** — reopening the torn journal must surface a `NITRO070`
-//!    recovery diagnostic, replay the surviving cells
-//!    (`replayed_cells > 0`) and finish with an artifact byte-identical
-//!    to the uninterrupted run;
-//! 4. **stage + promote** — the tuned artifact is published as `v1`, a
+//! 1. **stage + promote** — the tuned artifact is published as `v1`, a
 //!    retrained candidate shadow-predicts through a
 //!    [`StagedPromotion`] window and is promoted to `v2`, then passes
 //!    probation;
-//! 5. **forced regression** — a deliberately bad candidate (a constant
+//! 2. **forced regression** — a deliberately bad candidate (a constant
 //!    classifier pinned to a poorly-chosen variant) is force-promoted and
 //!    fed synthetic regressing observations: it must be auto-rolled-back
 //!    (`NITRO074`) to the previous version;
-//! 6. **alert-driven rollback** — the tuned function dispatches real
+//! 3. **alert-driven rollback** — the tuned function dispatches real
 //!    inputs under a pulse p99 watchdog ([`SloWatchdog`]); healthy
 //!    traffic must not page, then an injected [`FaultPlan`] slowdown
 //!    must page with a latency regression, and
@@ -48,7 +43,7 @@ use nitro_core::{CodeVariant, Context, ModelArtifact, MODEL_SCHEMA_VERSION};
 use nitro_ml::{ClassifierConfig, Dataset, TrainedModel};
 use nitro_pulse::{AlertKind, AlertSeverity, SloSpec, SloWatchdog};
 use nitro_simt::{install_fault_plan, uninstall_fault_plan, FaultPlan};
-use nitro_store::{ArtifactStore, LifecycleEvent, PromotionPolicy, StagedPromotion, TuningJournal};
+use nitro_store::{ArtifactStore, LifecycleEvent, PromotionPolicy, StagedPromotion};
 use nitro_trace::MetricsRegistry;
 use nitro_tuner::Autotuner;
 use serde::Serialize;
@@ -57,19 +52,11 @@ use serde::Serialize;
 #[derive(Serialize)]
 struct LifecycleOutcome {
     name: String,
-    /// Journal appends before the simulated crash.
-    kill_offset: u64,
-    /// Cells served from the journal on resume (must be > 0).
-    replayed_cells: usize,
-    /// Durable tune artifact == plain tune artifact, byte for byte.
-    durable_matches_plain: bool,
-    /// Resumed artifact == plain artifact, byte for byte.
-    resume_bit_identical: bool,
     /// Store versions at the end of the run.
     store_versions: usize,
     /// `latest` pointer at the end of the run.
     store_latest: Option<u64>,
-    /// Candidate promotions observed (phase 4 + the forced one).
+    /// Candidate promotions observed (phase 1 + the forced one).
     promotions: usize,
     /// Automatic rollbacks observed (the forced regression plus the
     /// alert-driven one).
@@ -127,88 +114,31 @@ where
     F: Fn(&Context) -> CodeVariant<I>,
 {
     let mut failures = Vec::new();
-    let journal_path = dir.join(format!("{name}.journal.jsonl"));
     let store_root = dir.join("store");
-    std::fs::remove_file(&journal_path).ok();
     std::fs::remove_dir_all(store_root.join(name)).ok();
 
-    // Phase 1 — plain vs durable: identical corpora must yield
-    // byte-identical artifacts whether or not a journal is in the loop.
     let ctx = Context::new();
-    let mut plain = build(&ctx);
-    Autotuner::new().tune(&mut plain, train)?;
-    let plain_json = plain.export_artifact()?.to_json()?;
+    let mut cv = build(&ctx);
+    Autotuner::new().tune(&mut cv, train)?;
 
-    let ctx = Context::new();
-    let mut durable = build(&ctx);
-    let mut journal = TuningJournal::open(&journal_path)?;
-    Autotuner::new().tune_durable(&mut durable, train, &mut journal)?;
-    let durable_json = durable.export_artifact()?.to_json()?;
-    let durable_matches_plain = durable_json == plain_json;
-    if !durable_matches_plain {
-        failures.push("durable tune artifact differs from plain tune artifact".into());
-    }
-    drop(journal);
-
-    // Phase 2 — kill mid-tune: crash partway through the second
-    // profiled row, leaving a torn tail on disk.
-    std::fs::remove_file(&journal_path).ok();
-    let n_variants = durable.n_variants() as u64;
-    let kill_offset = 1 + (1 + n_variants) + 1;
-    let ctx = Context::new();
-    let mut victim = build(&ctx);
-    let mut journal = TuningJournal::open(&journal_path)?;
-    journal.kill_after_appends(kill_offset);
-    match Autotuner::new().tune_durable(&mut victim, train, &mut journal) {
-        Err(_) => {}
-        Ok(_) => failures.push(format!(
-            "tune_durable survived a simulated crash at append {kill_offset}"
-        )),
-    }
-    drop(journal);
-
-    // Phase 3 — resume: recovery must report the torn tail (NITRO070),
-    // replay every surviving cell, and converge on the same bytes.
-    let ctx = Context::new();
-    let mut resumed = build(&ctx);
-    let mut journal = TuningJournal::open(&journal_path)?;
-    if !journal
-        .recovery_diagnostics()
-        .iter()
-        .any(|d| d.code == "NITRO070")
-    {
-        failures.push("reopened torn journal produced no NITRO070 diagnostic".into());
-    }
-    let report = Autotuner::new().tune_durable(&mut resumed, train, &mut journal)?;
-    let replayed_cells = report.replayed_cells;
-    if replayed_cells == 0 {
-        failures.push("resume replayed no cells from the journal".into());
-    }
-    let resumed_json = resumed.export_artifact()?.to_json()?;
-    let resume_bit_identical = resumed_json == plain_json;
-    if !resume_bit_identical {
-        failures.push("resumed artifact differs from the uninterrupted run".into());
-    }
-    drop(journal);
-
-    // Phase 4 — stage + promote: publish the incumbent as v1, shadow a
+    // Phase 1 — stage + promote: publish the incumbent as v1, shadow a
     // (re-exported, equivalent) candidate through the window, promote it
     // to v2 and pass probation on no-worse observations.
-    let incumbent = resumed.export_artifact()?;
-    let mut store = ArtifactStore::open(&store_root, resumed.name())?;
+    let incumbent = cv.export_artifact()?;
+    let mut store = ArtifactStore::open(&store_root, cv.name())?;
     let v1 = store.publish(&incumbent, "lifecycle_report incumbent")?;
     let mut sp = StagedPromotion::new(incumbent.clone(), report_policy());
     sp.set_incumbent_version(Some(v1));
 
     let features: Vec<Vec<f64>> = test
         .iter()
-        .map(|input| resumed.evaluate_features(input).0)
+        .map(|input| cv.evaluate_features(input).0)
         .collect();
-    let flat_costs = vec![1.0f64; resumed.n_variants()];
+    let flat_costs = vec![1.0f64; cv.n_variants()];
 
     let mut promotions = 0usize;
     let mut rollbacks = 0usize;
-    let mut events = sp.stage_candidate(resumed.export_artifact()?)?;
+    let mut events = sp.stage_candidate(cv.export_artifact()?)?;
     if !events
         .iter()
         .any(|e| matches!(e, LifecycleEvent::Staged { .. }))
@@ -243,11 +173,11 @@ where
         ));
     }
 
-    // Phase 5 — forced regression: pin a constant classifier to a
+    // Phase 2 — forced regression: pin a constant classifier to a
     // variant the incumbent rarely chooses, force-promote it, and feed
     // synthetic observations where that variant is 5× worse. The state
     // machine must roll back to the prior version with NITRO074.
-    let n = resumed.n_variants();
+    let n = cv.n_variants();
     let mut predicted = vec![0usize; n];
     for f in &features {
         predicted[incumbent.model.predict(f).min(n - 1)] += 1;
@@ -255,10 +185,10 @@ where
     let bad_variant = (0..n).min_by_key(|&v| predicted[v]).unwrap_or(0);
     let bad_candidate = ModelArtifact {
         schema_version: MODEL_SCHEMA_VERSION,
-        function: resumed.name().to_string(),
-        variant_names: resumed.variant_names(),
-        feature_names: resumed.feature_names(),
-        policy: resumed.policy().clone(),
+        function: cv.name().to_string(),
+        variant_names: cv.variant_names(),
+        feature_names: cv.feature_names(),
+        policy: cv.policy().clone(),
         model: constant_model(features[0].len(), bad_variant, n),
     };
     let mut bad_costs = vec![1.0f64; n];
@@ -312,14 +242,14 @@ where
         ));
     }
 
-    // Phase 6 — alert-driven rollback (observe→act): dispatch real
+    // Phase 3 — alert-driven rollback (observe→act): dispatch real
     // inputs through the tuned function under a pulse p99 watchdog,
     // promote a candidate into probation, then inject a FaultPlan
     // slowdown. The resulting latency page must be consumed by
     // `ingest_alert` and roll the promotion back.
     let registry = MetricsRegistry::new();
-    resumed.bind_metrics(&registry);
-    let metric = format!("dispatch.{}.latency_ns", resumed.name());
+    cv.bind_metrics(&registry);
+    let metric = format!("dispatch.{}.latency_ns", cv.name());
     let dispatch_pass = |cv: &mut CodeVariant<I>| -> BenchResult<()> {
         for input in test {
             cv.call(input)?;
@@ -330,8 +260,8 @@ where
     // Calibrate on healthy traffic (the simulator is deterministic
     // without a fault plan), leaving 3x headroom that an 8x slowdown
     // must breach.
-    dispatch_pass(&mut resumed)?;
-    dispatch_pass(&mut resumed)?;
+    dispatch_pass(&mut cv)?;
+    dispatch_pass(&mut cv)?;
     let healthy_p99 = registry.quantile(&metric, 0.99).unwrap_or(0.0);
     let threshold = (healthy_p99 * 3.0).max(1.0);
     let mut dog = SloWatchdog::new(vec![SloSpec::p99_below(
@@ -343,7 +273,7 @@ where
 
     let mut healthy_alerts = 0usize;
     for _ in 0..6 {
-        dispatch_pass(&mut resumed)?;
+        dispatch_pass(&mut cv)?;
         healthy_alerts += dog.tick(&registry).len();
     }
     if healthy_alerts > 0 {
@@ -354,7 +284,7 @@ where
 
     let mut alert_rollback = false;
     if fault_drill {
-        sp.stage_candidate(resumed.export_artifact()?)?;
+        sp.stage_candidate(cv.export_artifact()?)?;
         events = sp.promote_now(Some(&mut store))?;
         for e in &events {
             if matches!(e, LifecycleEvent::Promoted { .. }) {
@@ -370,7 +300,7 @@ where
         });
         let mut page = None;
         for _ in 0..10 {
-            if let Err(e) = dispatch_pass(&mut resumed) {
+            if let Err(e) = dispatch_pass(&mut cv) {
                 uninstall_fault_plan();
                 return Err(e);
             }
@@ -426,10 +356,6 @@ where
 
     Ok(LifecycleOutcome {
         name: name.to_string(),
-        kill_offset,
-        replayed_cells,
-        durable_matches_plain,
-        resume_bit_identical,
         store_versions: store.versions().len(),
         store_latest: store.latest(),
         promotions,
@@ -443,10 +369,6 @@ where
 
 fn summarize(o: &LifecycleOutcome) {
     println!("\n== {} ==", o.name);
-    println!(
-        "  durable == plain: {} · killed at append {} · resume replayed {} cell(s), bit-identical: {}",
-        o.durable_matches_plain, o.kill_offset, o.replayed_cells, o.resume_bit_identical
-    );
     println!(
         "  store: {} version(s), latest {:?} · {} promotion(s), {} rollback(s)",
         o.store_versions, o.store_latest, o.promotions, o.rollbacks
@@ -514,6 +436,6 @@ fn run() -> BenchResult<()> {
     if failed {
         std::process::exit(1);
     }
-    println!("\nall lifecycle guarantees held: resume is bit-identical, corruption never installs, regressions roll back");
+    println!("\nall lifecycle guarantees held: corruption never installs, regressions roll back");
     Ok(())
 }

@@ -11,15 +11,19 @@
 //!   `chrome://tracing` or <https://ui.perfetto.dev>),
 //! * `<suite>.trace.jsonl` — the same events as streaming JSONL,
 //! * `<suite>.metrics.json` — the metrics snapshot (counters, gauges,
-//!   histograms).
+//!   histograms),
+//! * `<suite>.collapsed` and `<suite>.profile.json` — the dispatch
+//!   profile of a [`PulseProfiler`] sampling every 4th test dispatch, as
+//!   collapsed stacks (flamegraph input) and as per-cell JSON.
 //!
 //! The binary validates its own output — the Chrome document must pass
 //! the strict-nesting validator and the metrics JSON must round-trip
 //! through [`nitro_trace::MetricsSnapshot`] — then runs the runtime
 //! metrics audit (`NITRO040`+) and prints, per suite: the tuning phase
-//! breakdown, the dispatch win/veto/fallback counts, the mispredict
-//! confusion pairs and the top regret contributors. Exits non-zero if
-//! any artifact fails validation.
+//! breakdown, the dispatch win/veto/fallback counts, the profiler's
+//! sample count, the mispredict confusion pairs and the top regret
+//! contributors. Exits non-zero if any artifact fails validation or the
+//! profiler sampled nothing.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -29,6 +33,7 @@ use nitro_audit::{analyze_metrics_json, render_text, MetricsAuditConfig};
 use nitro_bench::error::{exit_on_error, BenchResult};
 use nitro_bench::{for_each_suite, pct, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::{CodeVariant, Context};
+use nitro_pulse::PulseProfiler;
 use nitro_trace::{
     validate_chrome_trace, ChromeSink, JsonlSink, MetricsSnapshot, MultiSink, RegretLedger,
     RingSink, Tracer,
@@ -43,6 +48,8 @@ struct SuiteTrace {
     /// `(best, chosen) -> count` over mispredicted test dispatches.
     confusion: BTreeMap<(String, String), u64>,
     metrics: MetricsSnapshot,
+    /// `(sampled dispatches, profile cells)` of the dispatch profiler.
+    profile: (u64, usize),
     /// Validation failures (empty means all artifacts are well-formed).
     failures: Vec<String>,
     /// Chrome-trace shape: (events, spans, instants, lanes).
@@ -93,7 +100,11 @@ fn trace_suite<I: Send + Sync>(
     let test_table = ProfileTable::build(cv, test);
 
     // Dispatch every test input through the tuned selector, accounting
-    // regret against the exhaustive-search ground truth.
+    // regret against the exhaustive-search ground truth. The profiler
+    // samples every 4th call, so it sees every variant even on the
+    // miniature collections.
+    let profiler = PulseProfiler::new(4);
+    cv.set_dispatch_observer(Arc::new(profiler.clone()));
     let mut ledger = RegretLedger::new(5);
     let mut confusion: BTreeMap<(String, String), u64> = BTreeMap::new();
     for (i, input) in test.iter().enumerate() {
@@ -157,12 +168,27 @@ fn trace_suite<I: Send + Sync>(
         Err(e) => failures.push(format!("{name}.metrics.json does not round-trip: {e}")),
     }
 
+    // Export the dispatch profile.
+    for (file, text) in [
+        (format!("{name}.collapsed"), profiler.collapsed()),
+        (format!("{name}.profile.json"), profiler.to_json()),
+    ] {
+        if let Err(e) = std::fs::write(dir.join(&file), text) {
+            failures.push(format!("could not write {file}: {e}"));
+        }
+    }
+    let profile = (profiler.sampled(), profiler.report().entries.len());
+    if profile.1 == 0 {
+        failures.push(format!("the profiler sampled no {name} dispatch"));
+    }
+
     Ok(SuiteTrace {
         name: name.to_string(),
         tune,
         ledger,
         confusion,
         metrics,
+        profile,
         failures,
         trace_shape,
     })
@@ -191,6 +217,8 @@ fn summarize(s: &SuiteTrace) {
         .counter(&format!("dispatch.{}.fallback", s.name))
         .unwrap_or(0);
     println!("  dispatch: {calls} call(s), {fallbacks} fallback(s)");
+    let (sampled, cells) = s.profile;
+    println!("  profile: {sampled} sampled dispatch(es) in {cells} cell(s)");
     let dropped = s.metrics.counter("trace.dropped_events").unwrap_or(0);
     if dropped > 0 {
         println!(

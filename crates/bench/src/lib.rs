@@ -20,12 +20,11 @@
 //! | `ablation_unified_model` | extension (§VII) — one SpMV model across devices via device features |
 //! | `ablation_block_size` | extension (§VII) — a block-size parameter as a variant family |
 //! | `audit` | registration lint, artifact audit and profile analysis per suite (JSON + SARIF) |
-//! | `trace_report` | traced tuning and dispatch per suite; validates the trace and metrics exports |
+//! | `trace_report` | traced tuning and dispatch per suite; validates the trace and metrics exports, writes dispatch profiles |
 //! | `chaos_report` | guarded dispatch under injected faults: no panic escapes, quarantine, recovery |
-//! | `lifecycle_report` | durable tuning, resume, versioned store, promotion and rollback |
-//! | `pulse_report` | striped telemetry throughput, per-suite latency sketches, an SLO drill |
+//! | `lifecycle_report` | versioned store, promotion, forced and alert-driven rollback |
 //! | `serve_report` | the serving front door under an overload ramp: shedding, deadlines, hot swap |
-//! | `chaos_serve_report` | whole-stack fault campaign: request conservation and deterministic replay |
+//! | `chaos_serve_report` | concurrent whole-stack fault campaign: request conservation under supervision |
 //!
 //! Run them with, e.g.:
 //!

@@ -100,10 +100,12 @@ pub struct CallStats {
     pub async_calls: u64,
 }
 
-/// Pending asynchronous feature evaluation (paper §III-C).
-struct Pending<I: ?Sized> {
-    input: Arc<I>,
-    handle: std::thread::JoinHandle<(Vec<f64>, f64)>,
+/// A fixed input's feature evaluation (paper §III-C): finished when the
+/// policy's `async_feature_eval` is off, running on its own thread when
+/// it is on.
+enum Pending<I: ?Sized> {
+    Ready(Arc<I>, (Vec<f64>, f64)),
+    Running(Arc<I>, std::thread::JoinHandle<(Vec<f64>, f64)>),
 }
 
 /// One registered constraint: the vetoed variant, the executable check,
@@ -660,11 +662,6 @@ impl<I: ?Sized> CodeVariant<I> {
         self.observer = Some(observer);
     }
 
-    /// Remove the dispatch observer, returning it if one was installed.
-    pub fn clear_dispatch_observer(&mut self) -> Option<Arc<dyn DispatchObserver>> {
-        self.observer.take()
-    }
-
     /// Whether a dispatch is recorded: metrics are bound or an observer
     /// is installed. Only then is the model prediction timed.
     pub fn is_observed(&self) -> bool {
@@ -799,35 +796,36 @@ impl<I: ?Sized + Send + Sync + 'static> CodeVariant<I> {
     /// are evaluated eagerly on this thread instead (same semantics,
     /// no concurrency).
     pub fn fix_inputs(&mut self, input: Arc<I>) {
-        let features = self.features.clone();
-        let policy = self.policy.clone();
-        let work = {
-            let input = Arc::clone(&input);
-            move || evaluate_active(&features, &policy, &input)
-        };
-        let handle = if self.policy.async_feature_eval {
-            std::thread::spawn(work)
+        self.pending = Some(if self.policy.async_feature_eval {
+            let features = self.features.clone();
+            let policy = self.policy.clone();
+            let fixed = Arc::clone(&input);
+            let handle = std::thread::spawn(move || evaluate_active(&features, &policy, &fixed));
+            Pending::Running(input, handle)
         } else {
-            // Eager evaluation wrapped in an immediately-finished thread
-            // keeps one code path for call_fixed.
-            let result = work();
-            std::thread::spawn(move || result)
-        };
-        self.pending = Some(Pending { input, handle });
+            let result = evaluate_active(&self.features, &self.policy, &input);
+            Pending::Ready(input, result)
+        });
     }
 
     /// Join the pending feature evaluation (the implicit barrier) and
     /// dispatch on the fixed input.
     pub fn call_fixed(&mut self) -> Result<Invocation> {
-        let Pending { input, handle } = self.pending.take().ok_or(NitroError::NoFixedInput)?;
-        let (features, cost) = handle.join().map_err(|payload| {
-            let detail = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "asynchronous feature evaluation".to_string());
-            NitroError::Thread { detail }
-        })?;
+        let (input, (features, cost)) = match self.pending.take() {
+            None => return Err(NitroError::NoFixedInput),
+            Some(Pending::Ready(input, result)) => (input, result),
+            Some(Pending::Running(input, handle)) => {
+                let result = handle.join().map_err(|payload| {
+                    let detail = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_else(|| "asynchronous feature evaluation".to_string());
+                    NitroError::Thread { detail }
+                })?;
+                (input, result)
+            }
+        };
         self.dispatch(&input, features, cost, true)
     }
 }

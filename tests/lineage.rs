@@ -1,17 +1,22 @@
 //! Request-lineage conservation under a seeded chaos campaign.
 //!
 //! A supervised three-shard `ServeFront` on a manual clock serves one
-//! `ChaosPlan::from_seed` campaign of 120 requests one at a time, in the
-//! shape of `chaos_serve_report`'s phase A: shard-killing requests, a
-//! poison pill, a clock-skew jump and an alert storm, with every shard
-//! death waited out (restart or retirement) before the next submission.
-//! Launch and filesystem fault probabilities are zeroed; the variants
-//! are pure math.
+//! `ChaosPlan::from_seed` campaign of 120 requests one at a time:
+//! shard-killing requests, a poison pill, a clock-skew jump and an alert
+//! storm, with every shard death waited out (restart or retirement)
+//! before the next submission. Launch and filesystem fault probabilities
+//! are zeroed; the variants are pure math. (`chaos_serve_report` runs
+//! the concurrent counterpart, with every fault layer at once.) The
+//! campaign runs under both seeds CI uses for `chaos_serve_report`:
+//! `COLLECTION_SEED` and 7.
 //!
 //! Every admitted request must end in exactly one accounted outcome with
-//! none lost, and a second run of the same plan must give the same
-//! outcome classes, accounting, supervision counts, panic attribution
-//! and final shard states.
+//! none lost, no worker may die past the panic backstop, the front must
+//! report its shard restarts (`NITRO110`) and the quarantined poison
+//! pill (`NITRO112`) and never a conservation violation (`NITRO114`),
+//! and a second run of the same plan must give the
+//! same outcome classes, accounting, supervision counts, panic
+//! attribution and final shard states.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -171,11 +176,15 @@ fn lockstep_run(plan: &ChaosPlan) -> Run {
     let final_states = front.shard_states();
     let summary = front.shutdown();
     assert_eq!(summary.workers_failed, 0);
-    assert!(
-        !summary.diagnostics.iter().any(|d| d.code == "NITRO114"),
-        "{:?}",
-        summary.diagnostics
-    );
+    let codes: Vec<&str> = summary
+        .diagnostics
+        .iter()
+        .map(|d| d.code.as_str())
+        .collect();
+    assert!(!codes.contains(&"NITRO114"), "{:?}", summary.diagnostics);
+    for code in ["NITRO110", "NITRO112"] {
+        assert!(codes.contains(&code), "{code} never emitted: {codes:?}");
+    }
     Run {
         classes,
         accounting: summary.accounting,
@@ -192,10 +201,9 @@ fn lockstep_run(plan: &ChaosPlan) -> Run {
     }
 }
 
-#[test]
-fn seeded_campaign_conserves_every_request_and_replays_identically() {
+fn campaign_conserves_every_request_and_replays_identically(seed: u64) {
     silence_injected_panics();
-    let mut plan = ChaosPlan::from_seed(COLLECTION_SEED, REQUESTS);
+    let mut plan = ChaosPlan::from_seed(seed, REQUESTS);
     plan.launch_failure_prob = 0.0;
     plan.slowdown_prob = 0.0;
     plan.fs_torn_write = 0.0;
@@ -224,4 +232,14 @@ fn seeded_campaign_conserves_every_request_and_replays_identically() {
 
     let second = lockstep_run(&plan);
     assert_eq!(first, second, "the seeded campaign must replay identically");
+}
+
+#[test]
+fn seeded_campaign_conserves_every_request_and_replays_identically() {
+    campaign_conserves_every_request_and_replays_identically(COLLECTION_SEED);
+}
+
+#[test]
+fn second_seed_campaign_conserves_every_request_and_replays_identically() {
+    campaign_conserves_every_request_and_replays_identically(7);
 }

@@ -1,7 +1,8 @@
 //! End-to-end observability: a tracer installed through the facade sees
 //! every layer — tuner phases, profiling instants, dispatch spans and
 //! simulator launches — and the exported artifacts are well-formed; and
-//! every dispatch is counted once, however its recorders are wired.
+//! every dispatch is counted once, however its recorders are wired and
+//! however many threads share them.
 
 use std::sync::Arc;
 
@@ -10,7 +11,8 @@ use nitro::guard::{GuardPolicy, GuardedVariant};
 use nitro::pulse::PulseProfiler;
 use nitro::simt::DeviceConfig;
 use nitro::trace::{
-    validate_chrome_trace, ChromeSink, MetricsSnapshot, RegretLedger, RingSink, Tracer,
+    validate_chrome_trace, ChromeSink, MetricsRegistry, MetricsSnapshot, RegretLedger, RingSink,
+    Tracer,
 };
 use nitro::tuner::{Autotuner, ProfileTable};
 
@@ -129,4 +131,45 @@ fn one_call_counts_once() {
     assert_eq!(calls(), Some(2), "plus one GuardedVariant::call");
     assert_eq!(profiler.sampled(), 2);
     ctx.clear_tracer();
+}
+
+/// Four threads, each dispatching the sort test set twice through its
+/// own `CodeVariant` installed from one tuned artifact, bound to one
+/// registry and watched by one profiler: every call of every thread is
+/// counted, and the profiler samples some of them.
+#[test]
+fn threads_sharing_a_registry_count_every_call() {
+    const THREADS: usize = 4;
+    const PASSES: usize = 2;
+    let device = DeviceConfig::fermi_c2050();
+    let build = || nitro::sort::variants::build_code_variant(&Context::new(), &device);
+    let (train, test) = nitro::sort::keys::sort_small_sets(0x0B5);
+    let mut cv = build();
+    Autotuner::new().tune(&mut cv, &train).unwrap();
+    let artifact = cv.export_artifact().unwrap();
+
+    let registry = MetricsRegistry::new();
+    let profiler = PulseProfiler::new(4);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                let mut cv = build();
+                cv.install_artifact(artifact.clone()).unwrap();
+                cv.bind_metrics(&registry);
+                cv.set_dispatch_observer(Arc::new(profiler.clone()));
+                for _ in 0..PASSES {
+                    for input in &test {
+                        cv.call(input).unwrap();
+                    }
+                }
+            });
+        }
+    });
+
+    let calls = (THREADS * PASSES * test.len()) as u64;
+    assert_eq!(registry.counter_value("dispatch.sort.calls"), Some(calls));
+    let latency = registry.fused_sketch("dispatch.sort.latency_ns");
+    assert_eq!(latency.map(|s| s.count()), Some(calls));
+    assert!(profiler.sampled() > 0);
+    assert!(!profiler.report().entries.is_empty());
 }

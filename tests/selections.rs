@@ -7,14 +7,21 @@
 //!
 //! and checks each digest against a recorded constant.
 //!
+//! Each suite is also tuned with `Autotuner::tune_durable`, killed once
+//! partway through the second profiled input (a torn journal tail) and
+//! resumed: the resumed artifact must digest to the same constant as the
+//! plain tune's.
+//!
 //! A refactor that deletes or moves code must leave every selection
 //! as it was. A digest mismatch means a change moved a trained model or
 //! a per-input decision; if that is intended (a new feature, a training
 //! change), record the new constants and say why in the change
 //! description.
 
+use nitro::core::context::temp_model_dir;
 use nitro::core::Context;
 use nitro::guard::{GuardPolicy, GuardedVariant};
+use nitro::store::TuningJournal;
 use nitro::tuner::Autotuner;
 use nitro_bench::{for_each_suite, BenchResult, Suite, SuiteSpec, SuiteVisitor};
 
@@ -38,11 +45,12 @@ impl Digest {
     }
 }
 
-/// One suite's digests: artifact, plain selections, guarded selections.
+/// One suite's digests: artifact, plain selections, guarded selections,
+/// and the artifact of the killed and resumed durable tune.
 struct Selections;
 
 impl SuiteVisitor for Selections {
-    type Output = (&'static str, [u64; 3]);
+    type Output = (&'static str, [u64; 4]);
 
     fn visit<I: Send + Sync + 'static>(
         &mut self,
@@ -64,7 +72,37 @@ impl SuiteVisitor for Selections {
         for input in suite.test {
             guarded.selection(guard.call(input).ok().map(|inv| inv.variant));
         }
-        Ok((suite.name, [artifact.0, plain.0, guarded.0]))
+
+        // The journal holds a run header, then per input a features
+        // record and one cost cell per variant: this kill tears the
+        // second input's features record.
+        let dir = temp_model_dir(&format!("selections-{}", suite.name))?;
+        let path = dir.join("journal.jsonl");
+        let mut victim = (suite.build)(&Context::new());
+        let mut journal = TuningJournal::open(&path)?;
+        journal.kill_after_appends(1 + (1 + victim.n_variants() as u64) + 1);
+        let killed = Autotuner::new().tune_durable(&mut victim, suite.train, &mut journal);
+        assert!(killed.is_err(), "{}: the kill must surface", suite.name);
+        drop(journal);
+
+        let mut journal = TuningJournal::open(&path)?;
+        let torn = journal
+            .recovery_diagnostics()
+            .iter()
+            .any(|d| d.code == "NITRO070");
+        assert!(torn, "{}: the kill leaves a torn tail", suite.name);
+        let mut resumed = (suite.build)(&Context::new());
+        let report = Autotuner::new().tune_durable(&mut resumed, suite.train, &mut journal)?;
+        assert!(
+            report.replayed_cells > 0,
+            "{}: nothing replayed",
+            suite.name
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        let mut durable = Digest::new();
+        durable.bytes(resumed.export_artifact()?.to_json()?.as_bytes());
+
+        Ok((suite.name, [artifact.0, plain.0, guarded.0, durable.0]))
     }
 }
 
@@ -115,9 +153,21 @@ fn tuned_models_and_per_input_selections_are_stable() {
     ];
     for ((name, digests), (want_name, want_digests)) in got.iter().zip(want) {
         assert_eq!(*name, want_name);
-        for (what, (g, w)) in ["artifact", "plain selections", "guarded selections"]
-            .iter()
-            .zip(digests.iter().zip(want_digests))
+        // The resumed durable tune must land on the plain tune's artifact.
+        let want_digests = [
+            want_digests[0],
+            want_digests[1],
+            want_digests[2],
+            want_digests[0],
+        ];
+        for (what, (g, w)) in [
+            "artifact",
+            "plain selections",
+            "guarded selections",
+            "resumed durable artifact",
+        ]
+        .iter()
+        .zip(digests.iter().zip(want_digests))
         {
             assert_eq!(
                 *g, w,
