@@ -36,7 +36,7 @@
 //! …) and configuration is auditable through the `NITRO05x` diagnostics
 //! in [`audit_guard_policy`] and [`audit_fault_plan`]. The [`chaos`]
 //! module supplies the [`ChaosVariant`] decorator used by the chaos
-//! harness (`nitro-bench`'s `chaos_report`) and the resilience example.
+//! test (the root `tests/guard_chaos.rs`) and the resilience example.
 
 #![warn(missing_docs)]
 

@@ -10,8 +10,8 @@
 //! slot's `resolve` counts each terminal outcome (and is the only place
 //! one is counted), and a reply slot dropped without resolving counts a
 //! **loss** (a bug, which surfaces as `NITRO114` at shutdown). The chaos
-//! harness (`chaos_serve_report`) gates on
-//! [`LineageAccounting::is_conserved`] after every campaign.
+//! campaigns (`tests/lineage.rs` and `serve_report`'s storm) gate on
+//! [`LineageAccounting::is_conserved`] after every run.
 
 use serde::Serialize;
 

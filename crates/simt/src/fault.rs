@@ -4,8 +4,8 @@
 //! launch draws its fate from a [`SplitMix64`] stream
 //! keyed on `(plan seed, device seed, kernel name, launch index)`, so a
 //! given plan produces the same failures, slowdowns and corruptions on
-//! every run — chaos tests and the `chaos_report` bench binary assert on
-//! exact outcomes. The fault stream is independent of the measurement
+//! every run — chaos tests such as the root `tests/guard_chaos.rs` assert
+//! on exact outcomes. The fault stream is independent of the measurement
 //! noise stream: installing a plan whose probabilities are all zero
 //! leaves launch timings bit-identical to an uninstalled plan.
 //!

@@ -5,9 +5,9 @@
 //! shard-killing requests, a poison pill, a clock-skew jump and an alert
 //! storm, with every shard death waited out (restart or retirement)
 //! before the next submission. Launch and filesystem fault probabilities
-//! are zeroed; the variants are pure math. (`chaos_serve_report` runs
+//! are zeroed; the variants are pure math. (`serve_report`'s storm runs
 //! the concurrent counterpart, with every fault layer at once.) The
-//! campaign runs under both seeds CI uses for `chaos_serve_report`:
+//! campaign runs under both seeds CI uses for that storm:
 //! `COLLECTION_SEED` and 7.
 //!
 //! Every admitted request must end in exactly one accounted outcome with
