@@ -9,7 +9,7 @@
 //! variants" integration the paper describes (§VI).
 
 use nitro_bench::error::{exit_on_error, BenchResult};
-use nitro_bench::{pct, SuiteSpec};
+use nitro_bench::{pct, SuiteSpec, COLLECTION_SEED};
 use nitro_core::{ClassifierConfig, CodeVariant, Context, FnFeature};
 use nitro_solvers::{run_with_preconditioner, BlockJacobi, Method, SolverInput};
 use nitro_sparse::features;
@@ -80,8 +80,8 @@ fn run() -> BenchResult<()> {
     };
 
     let per = if spec.small { 3 } else { 8 };
-    let train = systems("train", 0, per, spec.seed);
-    let test = systems("test", 1000, per + 4, spec.seed);
+    let train = systems("train", 0, per, COLLECTION_SEED);
+    let test = systems("test", 1000, per + 4, COLLECTION_SEED);
 
     let test_table = ProfileTable::build(&cv, &test);
     Autotuner::new().tune(&mut cv, &train)?;

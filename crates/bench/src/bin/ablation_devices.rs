@@ -7,10 +7,10 @@
 //! for per-device tuning, quantified.
 
 use nitro_bench::error::{exit_on_error, BenchResult};
-use nitro_bench::{cached_table, pct, spmv_sets, SuiteSpec};
+use nitro_bench::{pct, spmv_sets, SuiteSpec};
 use nitro_core::Context;
 use nitro_simt::DeviceConfig;
-use nitro_tuner::{evaluate_model, Autotuner};
+use nitro_tuner::{evaluate_model, Autotuner, ProfileTable};
 
 fn short(cfg: &DeviceConfig) -> String {
     // "Tesla C2050 (Fermi, simulated)" -> "Tesla C2050"
@@ -33,12 +33,11 @@ fn run() -> BenchResult<()> {
     let devices = [DeviceConfig::fermi_c2050(), DeviceConfig::kepler_k20()];
     let mut models = Vec::new();
     let mut test_tables = Vec::new();
-    for (d, cfg) in devices.iter().enumerate() {
+    for cfg in &devices {
         let ctx = Context::new();
         let mut cv = nitro_sparse::spmv::build_code_variant(&ctx, cfg);
-        let suite = format!("spmv-dev{d}");
-        let train_table = cached_table(&spec.tag(&suite, "train"), &cv, &train, spec.cache);
-        let test_table = cached_table(&spec.tag(&suite, "test"), &cv, &test, spec.cache);
+        let train_table = ProfileTable::build(&cv, &train);
+        let test_table = ProfileTable::build(&cv, &test);
         Autotuner::new().tune_from_table(&mut cv, &train_table)?;
         models.push(cv.export_artifact()?.model);
         test_tables.push(test_table);

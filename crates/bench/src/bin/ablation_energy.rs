@@ -9,7 +9,7 @@
 //! reports what each model trades away.
 
 use nitro_bench::error::{exit_on_error, BenchResult};
-use nitro_bench::{cached_table, pct, spmv_sets, SuiteSpec};
+use nitro_bench::{pct, spmv_sets, SuiteSpec};
 use nitro_core::Context;
 use nitro_sparse::spmv::{build_code_variant_metric, SpmvMetric};
 use nitro_tuner::{evaluate_model, Autotuner, ProfileTable};
@@ -28,12 +28,11 @@ fn run() -> BenchResult<()> {
     // Profile under each metric; variant set and features are identical,
     // only the objective scalar differs.
     let mut tables: Vec<(SpmvMetric, ProfileTable, nitro_core::TrainedModel)> = Vec::new();
-    for (metric, tag) in [(SpmvMetric::Time, "time"), (SpmvMetric::Energy, "energy")] {
+    for metric in [SpmvMetric::Time, SpmvMetric::Energy] {
         let ctx = Context::new();
         let mut cv = build_code_variant_metric(&ctx, &cfg, metric);
-        let suite = format!("spmv-{tag}");
-        let train_table = cached_table(&spec.tag(&suite, "train"), &cv, &train, spec.cache);
-        let test_table = cached_table(&spec.tag(&suite, "test"), &cv, &test, spec.cache);
+        let train_table = ProfileTable::build(&cv, &train);
+        let test_table = ProfileTable::build(&cv, &test);
         Autotuner::new().tune_from_table(&mut cv, &train_table)?;
         tables.push((metric, test_table, cv.export_artifact()?.model));
     }

@@ -10,7 +10,7 @@
 //! cross-device models (lower bound, from `ablation_devices`).
 
 use nitro_bench::error::{exit_on_error, BenchResult};
-use nitro_bench::{cached_table, pct, spmv_sets, SuiteSpec};
+use nitro_bench::{pct, spmv_sets, SuiteSpec};
 use nitro_core::{ClassifierConfig, Context, TrainedModel};
 use nitro_ml::Dataset;
 use nitro_simt::DeviceConfig;
@@ -50,24 +50,14 @@ fn run() -> BenchResult<()> {
     let (train, test) = spmv_sets(spec);
     let devices = [DeviceConfig::fermi_c2050(), DeviceConfig::kepler_k20()];
 
-    // Per-device profile tables (shared with ablation_devices via cache).
+    // Per-device profile tables.
     let mut train_tables = Vec::new();
     let mut test_tables = Vec::new();
-    for (d, cfg) in devices.iter().enumerate() {
+    for cfg in &devices {
         let ctx = Context::new();
         let cv = nitro_sparse::spmv::build_code_variant(&ctx, cfg);
-        train_tables.push(cached_table(
-            &spec.tag(&format!("spmv-dev{d}"), "train"),
-            &cv,
-            &train,
-            spec.cache,
-        ));
-        test_tables.push(cached_table(
-            &spec.tag(&format!("spmv-dev{d}"), "test"),
-            &cv,
-            &test,
-            spec.cache,
-        ));
+        train_tables.push(ProfileTable::build(&cv, &train));
+        test_tables.push(ProfileTable::build(&cv, &test));
     }
 
     // Unified training set: both devices' labeled examples, each row

@@ -25,10 +25,10 @@ use nitro_audit::{
     render_text, ProfileAuditConfig, Severity, TuningGraph,
 };
 use nitro_bench::error::{ensure_dir, exit_on_error, to_json_pretty, write_file, BenchResult};
-use nitro_bench::{cached_table, for_each_suite, Suite, SuiteSpec, SuiteVisitor};
+use nitro_bench::{for_each_suite, target_path, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::diag::registry::codes;
 use nitro_core::{CodeVariant, Context, Diagnostic, FnFeature, FnVariant, Predicate};
-use nitro_tuner::Autotuner;
+use nitro_tuner::{Autotuner, ProfileTable};
 use serde::Serialize;
 
 /// One suite's combined findings.
@@ -41,20 +41,19 @@ struct SuiteAudit {
     diagnostics: Vec<Diagnostic>,
 }
 
-/// Lint the registration, tune an artifact off the (cached) training
-/// table, audit the artifact against the registration, analyze the
-/// profile table, and — with `--deep` — run the whole-configuration
+/// Lint the registration, tune an artifact off the training table,
+/// audit the artifact against the registration, analyze the profile
+/// table, and — with `--deep` — run the whole-configuration
 /// tuning-graph passes with the profile attached.
 fn audit_suite<I: Send + Sync>(
     name: &str,
     cv: &mut CodeVariant<I>,
     train: &[I],
-    spec: SuiteSpec,
     deep: bool,
 ) -> SuiteAudit {
     let mut diagnostics = lint_registration(cv, Some(train.len()));
 
-    let table = cached_table(&spec.tag(name, "train"), cv, train, spec.cache);
+    let table = ProfileTable::build(cv, train);
     diagnostics.extend(analyze_profile(
         &table.audit_view(name),
         &ProfileAuditConfig::default(),
@@ -109,7 +108,6 @@ fn audit_suite<I: Send + Sync>(
 }
 
 struct Auditor {
-    spec: SuiteSpec,
     deep: bool,
 }
 
@@ -120,13 +118,7 @@ impl SuiteVisitor for Auditor {
         suite: Suite<'_, I>,
     ) -> BenchResult<Self::Output> {
         let mut cv = (suite.build)(&Context::new());
-        Ok(audit_suite(
-            suite.name,
-            &mut cv,
-            suite.train,
-            self.spec,
-            self.deep,
-        ))
+        Ok(audit_suite(suite.name, &mut cv, suite.train, self.deep))
     }
 }
 
@@ -165,7 +157,7 @@ fn main() {
 fn run() -> BenchResult<()> {
     let deep = std::env::args().any(|a| a == "--deep");
     let spec = SuiteSpec::from_env()?;
-    let audits = for_each_suite(spec, &mut Auditor { spec, deep })?;
+    let audits = for_each_suite(spec, &mut Auditor { deep })?;
 
     // The analyzer self-test rides along in --deep runs. Its findings are
     // *expected* (that is the point) and excluded from the exit code; the
@@ -175,12 +167,12 @@ fn run() -> BenchResult<()> {
     let json = to_json_pretty("audit report", &audits)?;
     println!("{json}");
 
-    let out = nitro_bench::cache_dir().join("../nitro-audit.json");
+    let out = target_path("nitro-audit.json");
     write_file(&out, &json)?;
     eprintln!("report written to {}", out.display());
 
     // One SARIF 2.1.0 log per suite (CI uploads these as artifacts).
-    let sarif_dir = nitro_bench::cache_dir().join("../nitro-audit");
+    let sarif_dir = target_path("nitro-audit");
     ensure_dir(&sarif_dir)?;
     let version = env!("CARGO_PKG_VERSION");
     for audit in audits.iter().chain(fixture.as_ref()) {

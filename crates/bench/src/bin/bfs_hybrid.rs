@@ -6,9 +6,9 @@
 //! was 88.14% of the best variant."
 
 use nitro_bench::error::{exit_on_error, BenchResult};
-use nitro_bench::{bfs_sets, cached_table, device, pct, SuiteSpec};
+use nitro_bench::{bfs_sets, device, pct, SuiteSpec};
 use nitro_core::Context;
-use nitro_tuner::{evaluate_model, Autotuner};
+use nitro_tuner::{evaluate_model, Autotuner, ProfileTable};
 
 fn main() {
     exit_on_error(run());
@@ -25,8 +25,8 @@ fn run() -> BenchResult<()> {
     let ctx = Context::new();
     let mut cv = nitro_graph::bfs::build_code_variant(&ctx, &cfg);
     let (train, test) = bfs_sets(spec);
-    let test_table = cached_table(&spec.tag("bfs", "test"), &cv, &test, spec.cache);
-    let train_table = cached_table(&spec.tag("bfs", "train"), &cv, &train, spec.cache);
+    let test_table = ProfileTable::build(&cv, &test);
+    let train_table = ProfileTable::build(&cv, &train);
     Autotuner::new().tune_from_table(&mut cv, &train_table)?;
     let model = cv.export_artifact()?.model;
     let nitro = evaluate_model(&test_table, &model, cv.default_variant());

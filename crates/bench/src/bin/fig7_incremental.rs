@@ -8,11 +8,11 @@
 
 use nitro_bench::error::{exit_on_error, BenchResult};
 use nitro_bench::{
-    cached_table, for_each_suite, incremental_curve_with_report, pct, phase_breakdown, Suite,
-    SuiteSpec, SuiteVisitor,
+    for_each_suite, incremental_curve_with_report, pct, phase_breakdown, Suite, SuiteSpec,
+    SuiteVisitor,
 };
 use nitro_core::Context;
-use nitro_tuner::{evaluate_model, Autotuner};
+use nitro_tuner::{evaluate_model, Autotuner, ProfileTable};
 
 const MAX_ITERS: usize = 50;
 
@@ -40,14 +40,13 @@ impl SuiteVisitor for Fig7 {
         &mut self,
         suite: Suite<'_, I>,
     ) -> BenchResult<Self::Output> {
-        let spec = self.spec;
-        let max_iters = if spec.small { 10 } else { MAX_ITERS };
+        let max_iters = if self.spec.small { 10 } else { MAX_ITERS };
         let cv = &mut (suite.build)(&Context::new());
-        let test_table = &cached_table(&spec.tag(suite.name, "test"), cv, suite.test, spec.cache);
+        let test_table = &ProfileTable::build(cv, suite.test);
 
         // Baseline: full-training-set performance.
         cv.policy_mut().incremental = None;
-        let train_table = cached_table(&spec.tag(suite.name, "train"), cv, suite.train, spec.cache);
+        let train_table = ProfileTable::build(cv, suite.train);
         Autotuner::new().tune_from_table(cv, &train_table)?;
         let full_model = cv.export_artifact()?.model;
         let full = evaluate_model(test_table, &full_model, cv.default_variant()).mean_relative_perf;

@@ -10,10 +10,11 @@ use std::any::Any;
 
 use nitro_bench::error::{exit_on_error, BenchResult};
 use nitro_bench::{
-    cached_table, device, feature_subset_sweep, for_each_suite, pct, Suite, SuiteSpec, SuiteVisitor,
+    device, feature_subset_sweep, for_each_suite, pct, Suite, SuiteSpec, SuiteVisitor,
 };
 use nitro_core::Context;
 use nitro_histogram::HistInput;
+use nitro_tuner::ProfileTable;
 
 fn main() {
     exit_on_error(run());
@@ -25,13 +26,11 @@ fn run() -> BenchResult<()> {
     if spec.small {
         println!("(NITRO_SCALE=small — miniature collections)");
     }
-    for_each_suite(spec, &mut Fig8 { spec })?;
+    for_each_suite(spec, &mut Fig8)?;
     Ok(())
 }
 
-struct Fig8 {
-    spec: SuiteSpec,
-}
+struct Fig8;
 
 impl SuiteVisitor for Fig8 {
     type Output = ();
@@ -39,10 +38,10 @@ impl SuiteVisitor for Fig8 {
         &mut self,
         suite: Suite<'_, I>,
     ) -> BenchResult<Self::Output> {
-        let (spec, name) = (self.spec, suite.name);
+        let name = suite.name;
         let cv = (suite.build)(&Context::new());
-        let train_table = cached_table(&spec.tag(name, "train"), &cv, suite.train, spec.cache);
-        let test_table = cached_table(&spec.tag(name, "test"), &cv, suite.test, spec.cache);
+        let train_table = ProfileTable::build(&cv, suite.train);
+        let test_table = ProfileTable::build(&cv, suite.test);
         println!("\n--- {name} ---");
         println!("  k  perf      overhead  features");
         for r in feature_subset_sweep(&cv, suite.test, &train_table, &test_table) {

@@ -5,7 +5,7 @@
 use std::fmt::Write as _;
 
 use nitro_bench::error::{exit_on_error, write_file, BenchResult};
-use nitro_bench::{convergence_stats, run_all, SuiteSpec};
+use nitro_bench::{convergence_stats, run_all, target_path, SuiteSpec, COLLECTION_SEED};
 use nitro_ml::classification_report;
 
 fn main() {
@@ -26,7 +26,7 @@ fn run() -> BenchResult<()> {
         } else {
             "full (paper-sized)"
         },
-        spec.seed,
+        COLLECTION_SEED,
         nitro_bench::device().name
     );
 
@@ -95,7 +95,7 @@ fn run() -> BenchResult<()> {
     }
 
     print!("{md}");
-    let path = nitro_bench::cache_dir().join("../nitro-report.md");
+    let path = target_path("nitro-report.md");
     write_file(&path, &md)?;
     eprintln!("(report written to {})", path.display());
     Ok(())

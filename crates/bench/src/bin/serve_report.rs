@@ -37,13 +37,13 @@
 //! and exits nonzero if any gate fails.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nitro_bench::error::{exit_on_error, to_json_pretty, write_file, BenchError, BenchResult};
-use nitro_bench::{device, LoadPhase, SuiteSpec, ZipfSampler};
+use nitro_bench::{device, target_path, LoadPhase, SuiteSpec, ZipfSampler, COLLECTION_SEED};
 use nitro_core::context::temp_model_dir;
 use nitro_core::fsio::ChaosFs;
 use nitro_core::{
@@ -409,7 +409,10 @@ impl Ramp {
 /// The overload ramp under a 5% launch-failure plan, with a mid-load
 /// hot swap.
 fn ramp(spec: SuiteSpec, gates: &mut Gates) -> BenchResult<RampReport> {
-    install_fault_plan(FaultPlan::with_failure_prob(spec.seed, LAUNCH_FAILURE_PROB));
+    install_fault_plan(FaultPlan::with_failure_prob(
+        COLLECTION_SEED,
+        LAUNCH_FAILURE_PROB,
+    ));
     let config = ServeConfig {
         queue_capacity: Some(32),
         tenant_slots: 64,
@@ -433,8 +436,8 @@ fn ramp(spec: SuiteSpec, gates: &mut Gates) -> BenchResult<RampReport> {
         front,
         clock,
         registry,
-        tenants: ZipfSampler::new(TENANTS, 1.2, spec.seed),
-        inputs: ZipfSampler::new(10, 1.1, spec.seed ^ 0xBEEF),
+        tenants: ZipfSampler::new(TENANTS, 1.2, COLLECTION_SEED),
+        inputs: ZipfSampler::new(10, 1.1, COLLECTION_SEED ^ 0xBEEF),
     };
 
     // The incumbent (always "thorough", so the cascade has a real
@@ -462,7 +465,7 @@ fn ramp(spec: SuiteSpec, gates: &mut Gates) -> BenchResult<RampReport> {
             gap_ns,
         };
         let swap_here = (name == "heavy").then_some(&mut promotion);
-        let (report, swap) = ramp.run_phase(phase, spec.seed ^ pi as u64, swap_here)?;
+        let (report, swap) = ramp.run_phase(phase, COLLECTION_SEED ^ pi as u64, swap_here)?;
         reports.push(report);
         hot_swap = hot_swap.or(swap);
     }
@@ -891,14 +894,10 @@ struct ServeReport {
     failures: Vec<String>,
 }
 
-fn out_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_serve.json")
-}
-
 fn run() -> BenchResult<()> {
     let spec = SuiteSpec::from_env()?;
     let chaos_var = std::env::var_os("NITRO_CHAOS_SEED").map(|v| v.to_string_lossy().into_owned());
-    let storm_seed = chaos_seed(chaos_var.as_deref(), spec.seed)?;
+    let storm_seed = chaos_seed(chaos_var.as_deref(), COLLECTION_SEED)?;
     silence_injected_panics();
 
     let mut gates = Gates::default();
@@ -911,7 +910,7 @@ fn run() -> BenchResult<()> {
 
     let report = ServeReport {
         scale: spec.scale(),
-        seed: spec.seed,
+        seed: COLLECTION_SEED,
         chaos_seed: storm_seed,
         budget_ns: BUDGET_NS,
         ramp,
@@ -919,7 +918,7 @@ fn run() -> BenchResult<()> {
         gates: gates.passed,
         failures: gates.failures,
     };
-    let path = out_path();
+    let path = target_path("BENCH_serve.json");
     write_file(&path, &to_json_pretty("serve report", &report)?)?;
     print_summary(&report, &path);
 

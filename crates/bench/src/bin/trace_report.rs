@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use nitro_audit::{analyze_metrics_json, render_text, MetricsAuditConfig};
 use nitro_bench::error::{exit_on_error, BenchResult};
-use nitro_bench::{for_each_suite, pct, Suite, SuiteSpec, SuiteVisitor};
+use nitro_bench::{for_each_suite, pct, target_path, Suite, SuiteSpec, SuiteVisitor};
 use nitro_core::{CodeVariant, Context};
 use nitro_pulse::PulseProfiler;
 use nitro_trace::{
@@ -54,13 +54,6 @@ struct SuiteTrace {
     failures: Vec<String>,
     /// Chrome-trace shape: (events, spans, instants, lanes).
     trace_shape: (usize, usize, usize, usize),
-}
-
-/// Output directory for trace artifacts.
-fn out_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/nitro-trace");
-    std::fs::create_dir_all(&dir).ok();
-    dir
 }
 
 /// Run one suite under a fresh tracer: tune, profile the test set,
@@ -283,7 +276,8 @@ fn main() {
 
 fn run() -> BenchResult<()> {
     let spec = SuiteSpec::from_env()?;
-    let dir = out_dir();
+    let dir = target_path("nitro-trace");
+    std::fs::create_dir_all(&dir).ok();
     println!("== nitro-trace report ==");
     if spec.small {
         println!("(NITRO_SCALE=small — miniature collections)");

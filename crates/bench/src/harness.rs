@@ -1,5 +1,5 @@
-//! Shared experiment-harness machinery: the five-suite roster, profile
-//! caching and evaluation plumbing used by every figure binary.
+//! Shared experiment-harness machinery: the five-suite roster and the
+//! profiling and evaluation plumbing used by every figure binary.
 
 use std::path::PathBuf;
 
@@ -20,75 +20,41 @@ pub const COLLECTION_SEED: u64 = 0x0417_2014;
 pub struct SuiteSpec {
     /// Use miniature collections (CI-sized) instead of paper-sized ones.
     pub small: bool,
-    /// Collection seed.
-    pub seed: u64,
-    /// Cache profile tables under `target/nitro-cache`.
-    pub cache: bool,
 }
 
 impl SuiteSpec {
-    /// Read `NITRO_SCALE` and `NITRO_NO_CACHE` (see [`SuiteSpec::parse`]).
+    /// Read `NITRO_SCALE` (see [`SuiteSpec::parse`]).
     pub fn from_env() -> BenchResult<Self> {
-        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-        Self::parse(
-            var("NITRO_SCALE").as_deref(),
-            var("NITRO_NO_CACHE").as_deref(),
-        )
+        let scale = std::env::var_os("NITRO_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Self::parse(scale.as_deref())
     }
 
-    /// Build a spec from the `NITRO_SCALE` and `NITRO_NO_CACHE` values.
-    /// Scale: unset or `full` selects the paper-sized collections,
-    /// `small` the miniature ones. Cache: unset caches profile tables,
-    /// `1` turns the cache off. Any other value is refused: full scale
-    /// takes minutes and a cache can hide a profiling change, so a typo
-    /// must not select either silently.
-    pub fn parse(scale: Option<&str>, no_cache: Option<&str>) -> BenchResult<Self> {
-        let small = match scale {
-            None | Some("full") => false,
-            Some("small") => true,
-            Some(other) => {
-                return Err(BenchError::Invalid(format!(
-                    "NITRO_SCALE must be `small` or `full`, not {other:?}"
-                )))
-            }
-        };
-        let cache = match no_cache {
-            None => true,
-            Some("1") => false,
-            Some(other) => {
-                return Err(BenchError::Invalid(format!(
-                    "NITRO_NO_CACHE must be unset or `1`, not {other:?}"
-                )))
-            }
-        };
-        Ok(Self {
-            small,
-            seed: COLLECTION_SEED,
-            cache,
-        })
+    /// Build a spec from the `NITRO_SCALE` value: unset or `full`
+    /// selects the paper-sized collections, `small` the miniature ones.
+    /// Any other value is refused: full scale takes minutes, so a typo
+    /// must not select it silently.
+    pub fn parse(scale: Option<&str>) -> BenchResult<Self> {
+        match scale {
+            None | Some("full") => Ok(Self { small: false }),
+            Some("small") => Ok(Self::small()),
+            Some(other) => Err(BenchError::Invalid(format!(
+                "NITRO_SCALE must be `small` or `full`, not {other:?}"
+            ))),
+        }
     }
 
     /// Miniature configuration for tests.
     pub fn small() -> Self {
-        Self {
-            small: true,
-            seed: COLLECTION_SEED,
-            cache: false,
-        }
+        Self { small: true }
     }
 
-    /// The scale's name in cache tags and reports: `small` or `full`.
+    /// The scale's name in reports: `small` or `full`.
     pub fn scale(&self) -> &'static str {
         if self.small {
             "small"
         } else {
             "full"
         }
-    }
-
-    /// The cache tag of one suite's split: `<suite>-<scale>-<split>`.
-    pub fn tag(&self, suite: &str, split: &str) -> String {
-        format!("{suite}-{}-{split}", self.scale())
     }
 }
 
@@ -115,43 +81,12 @@ pub struct SuiteOutcome {
     pub train_table: ProfileTable,
 }
 
-/// Directory used for cached profile tables.
-pub fn cache_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/nitro-cache");
-    std::fs::create_dir_all(&dir).ok();
-    dir
-}
-
-/// Build (or load from cache) a profile table for `inputs`. A cached
-/// table is reused only when it was profiled with the same inputs count,
-/// variants, active features and objective as `cv` has now.
-pub fn cached_table<I: Send + Sync>(
-    tag: &str,
-    cv: &CodeVariant<I>,
-    inputs: &[I],
-    cache: bool,
-) -> ProfileTable {
-    let path = cache_dir().join(format!("{tag}.table.json"));
-    if cache {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(table) = ProfileTable::from_json(&text) {
-                if table.len() == inputs.len()
-                    && table.variant_names == cv.variant_names()
-                    && table.feature_names == cv.active_feature_names()
-                    && table.objective == cv.policy().objective
-                {
-                    return table;
-                }
-            }
-        }
-    }
-    let table = ProfileTable::build(cv, inputs);
-    if cache {
-        if let Ok(json) = table.to_json() {
-            std::fs::write(&path, json).ok();
-        }
-    }
-    table
+/// `target/<name>` at the workspace root, where the binaries write
+/// their artifacts.
+pub fn target_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target")
+        .join(name)
 }
 
 /// Generic suite driver: profile train + test, tune on the training
@@ -161,10 +96,9 @@ pub fn run_suite<I: Send + Sync>(
     cv: &mut CodeVariant<I>,
     train: &[I],
     test: &[I],
-    spec: SuiteSpec,
 ) -> BenchResult<SuiteOutcome> {
-    let train_table = cached_table(&spec.tag(name, "train"), cv, train, spec.cache);
-    let test_table = cached_table(&spec.tag(name, "test"), cv, test, spec.cache);
+    let train_table = ProfileTable::build(cv, train);
+    let test_table = ProfileTable::build(cv, test);
 
     let tune = Autotuner::new().tune_from_table(cv, &train_table)?;
     let model = cv.export_artifact()?.model;
@@ -205,9 +139,9 @@ fn sets<I>(
     test: fn(u64) -> Vec<I>,
 ) -> Sets<I> {
     if spec.small {
-        small(spec.seed)
+        small(COLLECTION_SEED)
     } else {
-        (train(spec.seed), test(spec.seed))
+        (train(COLLECTION_SEED), test(COLLECTION_SEED))
     }
 }
 
@@ -248,7 +182,7 @@ pub fn sort_sets(spec: SuiteSpec) -> Sets<nitro_sort::SortInput> {
 
 /// One suite of the roster, as handed to a [`SuiteVisitor`].
 pub struct Suite<'a, I> {
-    /// The suite's name: its report key and cache-tag prefix.
+    /// The suite's name: its report key.
     pub name: &'static str,
     /// Builds the suite's code variant on [`device()`].
     pub build: &'a (dyn Fn(&Context) -> CodeVariant<I> + Sync),
@@ -307,7 +241,7 @@ pub fn for_each_suite<V: SuiteVisitor>(
 
 /// Tune and evaluate all five suites ([`run_suite`]), in the paper's order.
 pub fn run_all(spec: SuiteSpec) -> BenchResult<Vec<SuiteOutcome>> {
-    struct RunAll(SuiteSpec);
+    struct RunAll;
     impl SuiteVisitor for RunAll {
         type Output = SuiteOutcome;
         fn visit<I: Send + Sync + 'static>(
@@ -315,10 +249,10 @@ pub fn run_all(spec: SuiteSpec) -> BenchResult<Vec<SuiteOutcome>> {
             suite: Suite<'_, I>,
         ) -> BenchResult<SuiteOutcome> {
             let mut cv = (suite.build)(&Context::new());
-            run_suite(suite.name, &mut cv, suite.train, suite.test, self.0)
+            run_suite(suite.name, &mut cv, suite.train, suite.test)
         }
     }
-    for_each_suite(spec, &mut RunAll(spec))
+    for_each_suite(spec, &mut RunAll)
 }
 
 // ---------------------------------------------------------------------
@@ -518,58 +452,14 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nitro_core::{FnFeature, FnVariant, Objective};
 
     #[test]
     fn nitro_scale_is_small_or_full_and_anything_else_is_named() {
-        assert!(!SuiteSpec::parse(None, None).unwrap().small);
-        let spec = SuiteSpec::parse(Some("full"), None).unwrap();
-        assert!(!spec.small && spec.cache);
-        let spec = SuiteSpec::parse(Some("small"), Some("1")).unwrap();
-        assert!(spec.small && !spec.cache);
-        let err = SuiteSpec::parse(Some("smal"), None).unwrap_err();
+        assert!(!SuiteSpec::parse(None).unwrap().small);
+        assert!(!SuiteSpec::parse(Some("full")).unwrap().small);
+        assert!(SuiteSpec::parse(Some("small")).unwrap().small);
+        let err = SuiteSpec::parse(Some("smal")).unwrap_err();
         assert!(err.to_string().contains("\"smal\""), "{err}");
-        // `NITRO_NO_CACHE` is unset or `1`: `0` or an empty value must
-        // not turn the cache off silently.
-        for value in ["0", ""] {
-            let err = SuiteSpec::parse(None, Some(value)).unwrap_err();
-            let named = format!("NITRO_NO_CACHE must be unset or `1`, not {value:?}");
-            assert_eq!(err.to_string(), named);
-        }
-    }
-
-    #[test]
-    fn cached_table_reprofiles_a_table_of_other_features_or_objective() {
-        let ctx = Context::new();
-        let mut cv = CodeVariant::<f64>::new("toy", &ctx);
-        cv.add_variant(FnVariant::new("id", |&x: &f64| x));
-        cv.add_variant(FnVariant::new("double", |&x: &f64| 2.0 * x));
-        cv.add_input_feature(FnFeature::new("x", |&x: &f64| x));
-        let inputs = [1.0, 2.0, 3.0];
-        let fresh = ProfileTable::build(&cv, &inputs);
-        let reload = |tag: &str, doctor: fn(&mut ProfileTable)| {
-            let path = cache_dir().join(format!("{tag}.table.json"));
-            let mut doctored = fresh.clone();
-            doctor(&mut doctored);
-            std::fs::write(&path, doctored.to_json().unwrap()).unwrap();
-            let table = cached_table(tag, &cv, &inputs, true);
-            std::fs::remove_file(&path).ok();
-            table
-        };
-        // A table of the same shape is reused as it was written...
-        let kept = reload("harness-test-same-shape", |t| {
-            t.feature_cost_ns[0] = 12_345.0
-        });
-        assert_eq!(kept.feature_cost_ns[0], 12_345.0);
-        // ...one of other features or another objective is re-profiled.
-        let features = reload("harness-test-stale-features", |t| {
-            t.feature_names[0] = "stale".into()
-        });
-        assert_eq!(features.feature_names, cv.active_feature_names());
-        let objective = reload("harness-test-stale-objective", |t| {
-            t.objective = Objective::Maximize
-        });
-        assert_eq!(objective.objective, cv.policy().objective);
     }
 
     #[test]
@@ -577,7 +467,7 @@ mod tests {
         let spec = SuiteSpec::small();
         let mut cv = nitro_sparse::spmv::build_code_variant(&Context::new(), &device());
         let (train, test) = spmv_sets(spec);
-        let out = run_suite("spmv", &mut cv, &train, &test, spec).unwrap();
+        let out = run_suite("spmv", &mut cv, &train, &test).unwrap();
         assert_eq!(out.variant_names.len(), 6);
         assert!(out.nitro.mean_relative_perf > 0.7, "nitro {:?}", out.nitro);
         assert_eq!(out.fixed.len(), 6);
@@ -610,7 +500,7 @@ mod tests {
         let spec = SuiteSpec::small();
         let mut cv = nitro_solvers::variants::build_code_variant(&Context::new(), &device());
         let (train, test) = solver_sets(spec);
-        let out = run_suite("solvers", &mut cv, &train, &test, spec).unwrap();
+        let out = run_suite("solvers", &mut cv, &train, &test).unwrap();
         let stats = convergence_stats(&out.test_table, &out.model, out.default_variant);
         // The small solver sets include weak-diagonal systems where some
         // variants fail.

@@ -21,7 +21,6 @@
 //! | `ablation_block_size` | extension (§VII) — a block-size parameter as a variant family |
 //! | `audit` | registration lint, artifact audit and profile analysis per suite (JSON + SARIF) |
 //! | `trace_report` | traced tuning and dispatch per suite; validates the trace and metrics exports, writes dispatch profiles |
-//! | `lifecycle_report` | versioned store, promotion, forced and alert-driven rollback |
 //! | `serve_report` | the serving front door: an overload ramp (shedding, deadlines, hot swap), then a whole-stack chaos storm (conservation under supervision) |
 //!
 //! Run them with, e.g.:

@@ -85,21 +85,6 @@ pub struct Invocation {
     pub fell_back_to_default: bool,
 }
 
-/// Cumulative dispatch statistics for one `code_variant`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CallStats {
-    /// Total dispatched calls.
-    pub calls: u64,
-    /// Times each variant (by index) was executed.
-    pub selections: Vec<u64>,
-    /// Calls where a constraint forced the default variant.
-    pub fallbacks: u64,
-    /// Accumulated simulated feature-evaluation cost.
-    pub feature_cost_ns: f64,
-    /// Calls served through the asynchronous `fix_inputs` path.
-    pub async_calls: u64,
-}
-
 /// A fixed input's feature evaluation (paper §III-C): finished when the
 /// policy's `async_feature_eval` is off, running on its own thread when
 /// it is on.
@@ -154,7 +139,6 @@ pub struct CodeVariant<I: ?Sized> {
     constraints: Vec<ConstraintEntry<I>>,
     model: Option<TrainedModel>,
     policy: TuningPolicy,
-    stats: CallStats,
     pending: Option<Pending<I>>,
     scratch: PredictScratch,
     metrics: Option<DispatchMetrics>,
@@ -173,7 +157,6 @@ impl<I: ?Sized> CodeVariant<I> {
             constraints: Vec::new(),
             model: None,
             policy: TuningPolicy::default(),
-            stats: CallStats::default(),
             pending: None,
             scratch: PredictScratch::default(),
             metrics: None,
@@ -194,14 +177,12 @@ impl<I: ?Sized> CodeVariant<I> {
     /// Register a variant; returns its index (the model's class label).
     pub fn add_variant(&mut self, v: impl Variant<I> + 'static) -> usize {
         self.variants.push(Arc::new(v));
-        self.stats.selections.push(0);
         self.variants.len() - 1
     }
 
     /// Register an already-shared variant; returns its index.
     pub fn add_variant_arc(&mut self, v: Arc<dyn Variant<I>>) -> usize {
         self.variants.push(v);
-        self.stats.selections.push(0);
         self.variants.len() - 1
     }
 
@@ -408,11 +389,6 @@ impl<I: ?Sized> CodeVariant<I> {
     /// Mutable access to the tuning policy.
     pub fn policy_mut(&mut self) -> &mut TuningPolicy {
         &mut self.policy
-    }
-
-    /// Dispatch statistics so far.
-    pub fn stats(&self) -> &CallStats {
-        &self.stats
     }
 
     /// Install a trained model directly (used by the autotuner).
@@ -746,16 +722,6 @@ impl<I: ?Sized> CodeVariant<I> {
 
         let objective = self.variants[chosen].invoke(input);
 
-        self.stats.calls += 1;
-        self.stats.selections[chosen] += 1;
-        self.stats.feature_cost_ns += feature_cost_ns;
-        if fell_back {
-            self.stats.fallbacks += 1;
-        }
-        if via_async {
-            self.stats.async_calls += 1;
-        }
-
         self.observe_dispatch(&DispatchRecord {
             variant: chosen,
             intended,
@@ -899,10 +865,12 @@ mod tests {
         // Veto the "large" variant everywhere.
         cv.add_constraint(1, FnConstraint::new("never", |_: &f64| false))
             .unwrap();
+        let registry = nitro_trace::MetricsRegistry::new();
+        cv.bind_metrics(&registry);
         let inv = cv.call(&9.0).unwrap();
         assert!(inv.fell_back_to_default);
         assert_eq!(inv.variant, 0);
-        assert_eq!(cv.stats().fallbacks, 1);
+        assert_eq!(registry.counter_value("dispatch.toy.fallback"), Some(1));
     }
 
     #[test]
@@ -940,15 +908,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn dispatch_counters_accumulate() {
         let mut cv = toy();
         cv.install_model(toy_model());
+        let registry = nitro_trace::MetricsRegistry::new();
+        cv.bind_metrics(&registry);
         cv.call(&1.0).unwrap();
         cv.call(&2.0).unwrap();
         cv.call(&9.0).unwrap();
-        let s = cv.stats();
-        assert_eq!(s.calls, 3);
-        assert_eq!(s.selections, vec![2, 1]);
+        assert_eq!(registry.counter_value("dispatch.toy.calls"), Some(3));
+        assert_eq!(registry.counter_value("dispatch.toy.win.small"), Some(2));
+        assert_eq!(registry.counter_value("dispatch.toy.win.large"), Some(1));
     }
 
     #[test]
@@ -956,10 +926,12 @@ mod tests {
         let mut cv = toy();
         cv.install_model(toy_model());
         cv.policy_mut().async_feature_eval = true;
+        let registry = nitro_trace::MetricsRegistry::new();
+        cv.bind_metrics(&registry);
         cv.fix_inputs(Arc::new(9.0));
         let inv = cv.call_fixed().unwrap();
         assert_eq!(inv.variant, 1);
-        assert_eq!(cv.stats().async_calls, 1);
+        assert_eq!(registry.counter_value("dispatch.toy.async_calls"), Some(1));
     }
 
     #[test]
@@ -1061,10 +1033,6 @@ mod tests {
         assert_eq!(m.counter_value("dispatch.toy.win.large"), Some(0));
         assert_eq!(m.counter_value("dispatch.toy.veto.large"), Some(1));
         assert_eq!(m.counter_value("dispatch.toy.fallback"), Some(1));
-
-        // Dispatch behavior itself is unchanged by tracing.
-        assert_eq!(cv.stats().calls, 2);
-        assert_eq!(cv.stats().fallbacks, 1);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   before touching the filesystem. The default (`None`) is a pure
 //!   passthrough; a seeded [`ChaosFs`] injects torn writes, `ENOSPC`,
 //!   read `EIO` and failed renames as a **pure function of
-//!   `(seed, path hash, op index)`**, so a fault schedule replays
-//!   exactly under the same seed.
+//!   `(seed, file name, op index)`**, so a fault schedule replays
+//!   exactly under the same seed, wherever the store's root lies.
 //! * [`RetryPolicy`] — a bounded, deterministically-jittered retry for
 //!   transient I/O faults. Persistence layers retry through it and
 //!   surface exhaustion as a typed error (`NITRO113`) instead of
@@ -149,10 +149,12 @@ pub trait FsPolicy: Send + Sync + std::fmt::Debug {
 }
 
 /// Seeded chaos policy: injects each fault class with a configured
-/// probability, decided as a pure function of `(seed, path hash,
+/// probability, decided as a pure function of `(seed, file name,
 /// op index)`. The op index is a process-wide counter over every
 /// consultation of this policy instance, so a fixed sequence of
 /// operations under a fixed seed replays the exact same fault schedule.
+/// Only the file name enters the draw, not its directory, so a store
+/// rooted in a per-process temp directory replays it too.
 #[derive(Debug)]
 pub struct ChaosFs {
     seed: u64,
@@ -209,11 +211,13 @@ impl ChaosFs {
         self.injected.load(Ordering::SeqCst)
     }
 
-    /// The draw for `(path, op index, lane)`: a pure function of the
-    /// seed, so the schedule replays under the same operation sequence.
+    /// The draw for `(path's file name, op index, lane)`: a pure
+    /// function of the seed, so the schedule replays under the same
+    /// operation sequence.
     fn draw(&self, path: &Path, index: u64, lane: u64) -> f64 {
         let mut h = self.seed;
-        for b in path.as_os_str().as_encoded_bytes() {
+        let name = path.file_name().unwrap_or(path.as_os_str());
+        for b in name.as_encoded_bytes() {
             h = mix64(h ^ u64::from(*b));
         }
         unit_fraction(mix64(
@@ -507,10 +511,13 @@ mod tests {
     }
 
     #[test]
-    fn chaos_schedule_is_a_pure_function_of_seed_path_and_op_index() {
+    fn chaos_schedule_is_a_pure_function_of_seed_file_name_and_op_index() {
         let mk = || ChaosFs::with_probs(42, 0.3, 0.2, 0.4, 0.3);
         let (a, b) = (mk(), mk());
         let paths = [Path::new("m/manifest.json"), Path::new("m/v000001.json")];
+        // `b`'s store lies under another root, as a per-process temp
+        // directory would: the schedule must not change.
+        let other_root = Path::new("/tmp/nitro-models-store-4242");
         for i in 0..256 {
             let op = match i % 3 {
                 0 => FsOp::Read,
@@ -518,7 +525,8 @@ mod tests {
                 _ => FsOp::Rename,
             };
             let path = paths[i % 2];
-            assert_eq!(a.fault(op, path), b.fault(op, path), "op {i} diverged");
+            let moved = other_root.join(path);
+            assert_eq!(a.fault(op, path), b.fault(op, &moved), "op {i} diverged");
         }
         assert!(a.injected() > 0, "probabilities this high must inject");
         assert_eq!(a.injected(), b.injected());

@@ -54,7 +54,7 @@ pub mod predicate;
 pub mod request;
 pub mod variant;
 
-pub use code_variant::{CallStats, CodeVariant, Invocation};
+pub use code_variant::{CodeVariant, Invocation};
 pub use context::Context;
 pub use diag::{Diagnostic, Severity};
 pub use error::{NitroError, Result};

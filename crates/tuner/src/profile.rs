@@ -10,10 +10,9 @@
 use nitro_core::{CodeVariant, Objective};
 use nitro_ml::Dataset;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth profiling data for a set of inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileTable {
     /// Objective direction the costs were recorded under.
     pub objective: Objective,
@@ -235,16 +234,6 @@ impl ProfileTable {
             features: &self.features,
         }
     }
-
-    /// Serialize to JSON (experiment harnesses cache profiles to disk).
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(s)
-    }
 }
 
 #[cfg(test)]
@@ -372,14 +361,6 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.n_classes, 2);
         assert_eq!(d.x[0], vec![1.0]);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let cv = toy();
-        let t = ProfileTable::build(&cv, &[1.0, 9.0]);
-        let j = t.to_json().unwrap();
-        assert_eq!(ProfileTable::from_json(&j).unwrap(), t);
     }
 
     #[test]

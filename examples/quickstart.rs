@@ -10,6 +10,7 @@
 //! and call the tuned function on unseen data.
 
 use nitro::core::{CodeVariant, Context, FnFeature, FnVariant};
+use nitro::trace::MetricsRegistry;
 use nitro::tuner::Autotuner;
 
 fn main() {
@@ -40,7 +41,10 @@ fn main() {
         report.training_inputs, report.class_counts, report.cv_accuracy
     );
 
-    // 5. Call the tuned function on unseen inputs: Nitro picks a variant.
+    // 5. Call the tuned function on unseen inputs: Nitro picks a variant
+    //    and counts each dispatch in the bound registry.
+    let metrics = MetricsRegistry::new();
+    compute.bind_metrics(&metrics);
     for n in [64usize, 1_024, 2_048, 4_096] {
         let input = vec![0.0; n];
         let outcome = compute.call(&input).expect("dispatch succeeds");
@@ -52,9 +56,14 @@ fn main() {
 
     // The crossover (40 + n = 2000 + n/4 at n ≈ 2613) is learned, not
     // hard-coded.
-    let stats = compute.stats();
+    let count = |name: &str| metrics.counter_value(name).unwrap_or(0);
+    let wins: Vec<u64> = compute
+        .variant_names()
+        .iter()
+        .map(|v| count(&format!("dispatch.compute.win.{v}")))
+        .collect();
     println!(
-        "dispatches: {} (per-variant: {:?})",
-        stats.calls, stats.selections
+        "dispatches: {} (per-variant: {wins:?})",
+        count("dispatch.compute.calls")
     );
 }

@@ -4,6 +4,8 @@
 //! - the tuned `ModelArtifact`'s JSON bytes,
 //! - the variant `CodeVariant::call` selects for every test input,
 //! - the variant `GuardedVariant::call` serves for every test input,
+//! - the artifact of an incremental (BvSB) tune of
+//!   `INCREMENTAL_ITERATIONS` queries (paper Fig. 7),
 //!
 //! and checks each digest against a recorded constant.
 //!
@@ -19,11 +21,15 @@
 //! description.
 
 use nitro::core::context::temp_model_dir;
-use nitro::core::Context;
+use nitro::core::{Context, StoppingCriterion};
 use nitro::guard::{GuardPolicy, GuardedVariant};
 use nitro::store::TuningJournal;
 use nitro::tuner::Autotuner;
 use nitro_bench::{for_each_suite, BenchResult, Suite, SuiteSpec, SuiteVisitor};
+
+/// BvSB queries of the incremental tune: few enough that the query
+/// order, not only the pool, decides which inputs get labeled.
+const INCREMENTAL_ITERATIONS: usize = 4;
 
 /// FNV-1a over bytes.
 struct Digest(u64);
@@ -46,11 +52,12 @@ impl Digest {
 }
 
 /// One suite's digests: artifact, plain selections, guarded selections,
-/// and the artifact of the killed and resumed durable tune.
+/// the artifact of the killed and resumed durable tune, and the
+/// incremental tune's artifact.
 struct Selections;
 
 impl SuiteVisitor for Selections {
-    type Output = (&'static str, [u64; 4]);
+    type Output = (&'static str, [u64; 5]);
 
     fn visit<I: Send + Sync + 'static>(
         &mut self,
@@ -102,20 +109,31 @@ impl SuiteVisitor for Selections {
         let mut durable = Digest::new();
         durable.bytes(resumed.export_artifact()?.to_json()?.as_bytes());
 
-        Ok((suite.name, [artifact.0, plain.0, guarded.0, durable.0]))
+        let mut active = (suite.build)(&Context::new());
+        active.policy_mut().incremental =
+            Some(StoppingCriterion::Iterations(INCREMENTAL_ITERATIONS));
+        Autotuner::new().tune(&mut active, suite.train)?;
+        let mut incremental = Digest::new();
+        incremental.bytes(active.export_artifact()?.to_json()?.as_bytes());
+
+        Ok((
+            suite.name,
+            [artifact.0, plain.0, guarded.0, durable.0, incremental.0],
+        ))
     }
 }
 
 #[test]
 fn tuned_models_and_per_input_selections_are_stable() {
     let got = for_each_suite(SuiteSpec::small(), &mut Selections).unwrap();
-    let want: [(&str, [u64; 3]); 5] = [
+    let want: [(&str, [u64; 4]); 5] = [
         (
             "spmv",
             [
                 0x8c36_9010_a257_6958,
                 0xdb86_decd_1077_9885,
                 0xdb86_decd_1077_9885,
+                0x12e2_327d_790f_211d,
             ],
         ),
         (
@@ -124,6 +142,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
                 0xb5e9_ac8d_84ba_aaa1,
                 0xd12c_2aa6_2a56_8065,
                 0xd12c_2aa6_2a56_8065,
+                0xc6a2_1de5_3678_2ee6,
             ],
         ),
         (
@@ -132,6 +151,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
                 0x568b_01bd_7c4c_ad2a,
                 0x34f5_1303_221f_4887,
                 0x34f5_1303_221f_4887,
+                0xa704_3044_2de0_d819,
             ],
         ),
         (
@@ -140,6 +160,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
                 0x6e25_5e87_529c_e104,
                 0x620e_4266_23c6_5cc2,
                 0x620e_4266_23c6_5cc2,
+                0xe316_caae_ae08_3feb,
             ],
         ),
         (
@@ -148,6 +169,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
                 0x2c41_0d9b_5806_3fa9,
                 0x4a2f_88ec_c254_dee5,
                 0x4a2f_88ec_c254_dee5,
+                0x82ef_e408_b9c5_b497,
             ],
         ),
     ];
@@ -159,12 +181,14 @@ fn tuned_models_and_per_input_selections_are_stable() {
             want_digests[1],
             want_digests[2],
             want_digests[0],
+            want_digests[3],
         ];
         for (what, (g, w)) in [
             "artifact",
             "plain selections",
             "guarded selections",
             "resumed durable artifact",
+            "incremental artifact",
         ]
         .iter()
         .zip(digests.iter().zip(want_digests))
