@@ -47,6 +47,7 @@
 //! assert!(diags.iter().any(|d| d.code == "NITRO014"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifact;

@@ -530,7 +530,7 @@ fn ramp(spec: SuiteSpec, gates: &mut Gates) -> BenchResult<RampReport> {
     );
     let wait = hot_swap.publish_wait_ns;
     gates.check("hot_swap_applied", wait <= 50_000_000, || {
-        format!("publish stalled for {wait} ns: the epoch swap must not block")
+        format!("publish stalled for {wait} ns: a publish must not wait on the workers")
     });
 
     Ok(RampReport {

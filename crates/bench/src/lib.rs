@@ -33,6 +33,8 @@
 //! `NITRO_SCALE` is `small` or `full` (the default); any other value is
 //! refused.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod harness;
 pub mod load;

@@ -180,12 +180,6 @@ impl<I: ?Sized> CodeVariant<I> {
         self.variants.len() - 1
     }
 
-    /// Register an already-shared variant; returns its index.
-    pub fn add_variant_arc(&mut self, v: Arc<dyn Variant<I>>) -> usize {
-        self.variants.push(v);
-        self.variants.len() - 1
-    }
-
     /// Register a *family* of variants generated from a parameter grid:
     /// one variant per value, named `base@value`. Returns their indices.
     ///

@@ -39,6 +39,7 @@
 //! assert_eq!(outcome.variant_name, "scalar");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod code_variant;

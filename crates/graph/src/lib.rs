@@ -17,6 +17,7 @@
 //! * [`io`] — edge-list and DIMACS/METIS readers (DIMACS10 is the
 //!   paper's test corpus), so external graphs drop straight in.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfs;

@@ -35,11 +35,6 @@ impl<I: ?Sized> ChaosVariant<I> {
         Self { inner, failing }
     }
 
-    /// Wrap `inner` with the flag permanently raised.
-    pub fn always_failing(inner: Arc<dyn Variant<I>>) -> Self {
-        Self::new(inner, Arc::new(AtomicBool::new(true)))
-    }
-
     /// The shared outage flag (store `false` to end the outage).
     pub fn flag(&self) -> Arc<AtomicBool> {
         self.failing.clone()

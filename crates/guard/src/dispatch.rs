@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use nitro_audit::AuditedInstall;
 use nitro_core::{CodeVariant, DispatchRecord, ModelArtifact, NitroError, PredictScratch, Result};
-use nitro_trace::{Counter, MetricsRegistry};
+use nitro_trace::{AtomicF64, Counter, MetricsRegistry};
 
 use crate::audit::audit_guard_policy;
 use crate::breaker::{BreakerState, CircuitBreaker, GuardPolicy, Transition};
@@ -206,9 +206,9 @@ struct GuardMetrics {
     quarantine: Counter,
     recovered: Counter,
     fallback: Counter,
-    /// Simulated backoff total: an f64 bit pattern accumulated with a
-    /// CAS loop. The registry has no float sum, so it is not exported.
-    backoff_ns_bits: AtomicU64,
+    /// Simulated backoff total. The registry has no float sum, so it
+    /// is not exported.
+    backoff_ns: AtomicF64,
 }
 
 impl GuardMetrics {
@@ -222,23 +222,7 @@ impl GuardMetrics {
             quarantine: counter("quarantine"),
             recovered: counter("recovered"),
             fallback: counter("fallback"),
-            backoff_ns_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    fn add_backoff(&self, ns: f64) {
-        let mut current = self.backoff_ns_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + ns).to_bits();
-            match self.backoff_ns_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
+            backoff_ns: AtomicF64::new(0.0),
         }
     }
 
@@ -251,7 +235,7 @@ impl GuardMetrics {
             recoveries: self.recovered.value(),
             degraded_calls: self.degraded.value(),
             fallbacks: self.fallback.value(),
-            backoff_ns: f64::from_bits(self.backoff_ns_bits.load(Ordering::Relaxed)),
+            backoff_ns: self.backoff_ns.get(),
         }
     }
 }
@@ -282,11 +266,6 @@ impl GuardShared {
             health: SharedHealth::new(health),
             metrics,
         }
-    }
-
-    /// Number of variants the breaker bank covers.
-    pub fn n_breakers(&self) -> usize {
-        self.breakers.len()
     }
 
     /// All breaker states, in variant order.
@@ -870,7 +849,7 @@ impl<I: ?Sized> GuardedVariant<I> {
                 let seq = self.retry_seq.fetch_add(1, Ordering::Relaxed);
                 let pause = self.backoff_pause_ns(candidate, attempt, seq);
                 run.backoff_ns += pause;
-                m.add_backoff(pause);
+                m.backoff_ns.update(|ns| ns + pause);
             }
             run.attempts += 1;
             match self.cv.try_run_variant(candidate, input) {

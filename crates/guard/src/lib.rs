@@ -38,6 +38,7 @@
 //! module supplies the [`ChaosVariant`] decorator used by the chaos
 //! test (the root `tests/guard_chaos.rs`) and the resilience example.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

@@ -12,6 +12,7 @@
 //! skew-oblivious. The `SubSampleSD` feature is what lets the model see
 //! skew cheaply.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod data;

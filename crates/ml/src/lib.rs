@@ -34,6 +34,7 @@
 //! assert_eq!(model.predict(&[8.2, 1.8]), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod active;

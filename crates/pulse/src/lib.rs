@@ -26,6 +26,7 @@
 //! [`MetricsRegistry`]: nitro_trace::MetricsRegistry
 //! [`MetricsSnapshot`]: nitro_trace::MetricsSnapshot
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

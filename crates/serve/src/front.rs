@@ -14,7 +14,7 @@
 //!       worker: dequeue                                   │
 //!          ├─ deadline expired while queued → shed        │
 //!          ├─ remaining < service estimate  → shed        │
-//!          ├─ model epoch changed → hot-swap install      │
+//!          ├─ model version moved → hot-swap install      │
 //!          └─ dispatch at the pressure tier:              │
 //!               Full → CachedRegime → DefaultOnly         │
 //!                      (guarded cascade underneath)       │
@@ -44,7 +44,7 @@
 //! exits. The supervisor drains the dead shard's queue back through
 //! placement — every queued request ends in exactly one accounted
 //! outcome ([`LineageAccounting`]) — and restarts the shard re-seeded
-//! from the current model epoch, under an exponential backoff and a
+//! from the current model slot, under an exponential backoff and a
 //! restart budget (`NITRO110`/`NITRO111`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,7 +66,6 @@ use crate::audit::{
 };
 use crate::clock::ServeClock;
 use crate::degrade::{admission_watermark, regime_fingerprint, tier_for, DegradeTier, RegimeCache};
-use crate::epoch::EpochCell;
 use crate::lineage::LineageAccounting;
 use crate::metrics::ServePulse;
 use crate::queue::ShardQueue;
@@ -241,7 +240,8 @@ impl ServeTicket {
     }
 }
 
-/// The model slot workers read per request and promotions publish into.
+/// The model slot promotions publish into. A worker reads it when the
+/// front's publication sequence moves past the version it serves.
 #[derive(Debug)]
 pub struct ModelSlot {
     /// Monotonic publication number (0 = the initial, possibly empty
@@ -318,7 +318,11 @@ struct FrontInner<I> {
     tenants: TenantBuckets,
     tighten: AtomicU32,
     rr: AtomicU64,
-    model: EpochCell<ModelSlot>,
+    /// Written only by `publish_artifact`, which bumps `publish_seq`
+    /// while it holds this lock.
+    model: Mutex<ModelSlot>,
+    /// The newest publication version. Workers compare it with the
+    /// version they serve and lock `model` only when the two differ.
     publish_seq: AtomicU64,
     pulse: Arc<ServePulse>,
     lineage_seq: AtomicU64,
@@ -337,6 +341,13 @@ struct FrontInner<I> {
 }
 
 impl<I> FrontInner<I> {
+    /// The published version and a copy of its artifact, read under the
+    /// slot lock so the pair is consistent; the install runs unlocked.
+    fn read_model(&self) -> (u64, Option<ModelArtifact>) {
+        let slot = self.model.lock().expect("model slot lock");
+        (slot.version, slot.artifact.clone())
+    }
+
     /// Record a runtime diagnostic for the shutdown summary.
     fn diagnose(&self, diagnostic: Diagnostic) {
         self.diagnostics
@@ -465,10 +476,10 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
             ),
             tighten: AtomicU32::new(0),
             rr: AtomicU64::new(0),
-            model: EpochCell::new(Arc::new(ModelSlot {
+            model: Mutex::new(ModelSlot {
                 version: 0,
                 artifact: None,
-            })),
+            }),
             publish_seq: AtomicU64::new(0),
             pulse,
             lineage_seq: AtomicU64::new(0),
@@ -592,15 +603,17 @@ impl<I: Send + Sync + 'static> ServeFront<I> {
         }
     }
 
-    /// Publish a model artifact to every shard via the epoch cell.
-    /// Lock-free for readers: workers pick it up on their next request.
-    /// Returns the publication version.
+    /// Publish a model artifact to every shard: workers pick it up on
+    /// their next request. Returns the publication version. The version
+    /// is taken and the slot stored under one lock, so of concurrent
+    /// publishes the one with the highest version is the one served.
     pub fn publish_artifact(&self, artifact: ModelArtifact) -> u64 {
+        let mut slot = self.inner.model.lock().expect("model slot lock");
         let version = self.inner.publish_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        self.inner.model.publish(Arc::new(ModelSlot {
+        *slot = ModelSlot {
             version,
             artifact: Some(artifact),
-        }));
+        };
         version
     }
 
@@ -787,17 +800,16 @@ fn worker_loop<I: Send + Sync + 'static>(
             continue;
         }
 
-        // Model hot-swap: pick up a newer epoch before dispatching.
-        let model = inner.model.load();
-        if model.version != local_version {
-            if let Some(artifact) = &model.artifact {
-                guard.install_artifact_or_degrade(artifact.clone());
+        // Model hot-swap: pick up a newer publication before dispatching.
+        if inner.publish_seq.load(Ordering::SeqCst) != local_version {
+            let (version, artifact) = inner.read_model();
+            if let Some(artifact) = artifact {
+                guard.install_artifact_or_degrade(artifact);
             }
             cache.clear();
-            local_version = model.version;
+            local_version = version;
             inner.pulse.hotswap_installs.inc();
         }
-        drop(model);
 
         let shift = inner.tighten.load(Ordering::SeqCst);
         let tier = tier_for(
@@ -1081,7 +1093,7 @@ fn retire_shard<I: Send + Sync + 'static>(
 }
 
 /// Build and spawn a replacement worker for `shard`, re-seeded from the
-/// current model epoch so it comes up serving the same version its
+/// current model slot so it comes up serving the same version its
 /// predecessor did.
 fn spawn_worker<I: Send + Sync + 'static>(
     inner: &Arc<FrontInner<I>>,
@@ -1108,12 +1120,10 @@ fn spawn_worker<I: Send + Sync + 'static>(
     // A fresh backoff salt per incarnation keeps restarted shards
     // decorrelated from both their peers and their predecessors.
     guard.set_backoff_salt((shard as u64) ^ (generation << 32));
-    let slot = inner.model.load();
-    let initial_version = slot.version;
-    if let Some(artifact) = &slot.artifact {
-        guard.install_artifact_or_degrade(artifact.clone());
+    let (initial_version, artifact) = inner.read_model();
+    if let Some(artifact) = artifact {
+        guard.install_artifact_or_degrade(artifact);
     }
-    drop(slot);
     let inner = inner.clone();
     std::thread::Builder::new()
         .name(format!("nitro-serve-{shard}-g{generation}"))

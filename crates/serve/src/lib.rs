@@ -17,10 +17,11 @@
 //!   cached per-regime decision → default variant) engages as shard
 //!   pressure rises, so overload costs prediction quality before it
 //!   costs availability.
-//! * **Epoch hot-swap** — model updates (e.g. from a
-//!   [`StagedPromotion`](nitro_store::StagedPromotion)) publish through
-//!   a lock-free [`EpochCell`]: readers never block and old epochs
-//!   retire only when quiescent.
+//! * **Model hot-swap** — model updates (e.g. from a
+//!   [`StagedPromotion`](nitro_store::StagedPromotion)) publish into one
+//!   locked [`ModelSlot`] under a publication sequence; a worker reads
+//!   the sequence (one atomic load) per request and takes the lock only
+//!   when it has moved.
 //! * **SLO feedback** — a burning latency SLO
 //!   ([`PulseAlert`](nitro_pulse::PulseAlert) pages) tightens admission
 //!   *before* the watchdog has to roll a promotion back.
@@ -33,13 +34,13 @@
 //! README's "Serving & overload" section for the architecture diagram
 //! and the bench harness (`serve_report`) that load-tests all of it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
 pub mod audit;
 pub mod clock;
 pub mod degrade;
-pub mod epoch;
 pub mod front;
 pub mod lineage;
 pub mod metrics;
@@ -53,7 +54,6 @@ pub use audit::{
 };
 pub use clock::ServeClock;
 pub use degrade::{admission_watermark, regime_fingerprint, tier_for, DegradeTier, RegimeCache};
-pub use epoch::EpochCell;
 pub use front::{
     ModelSlot, Rejection, ServeConfig, ServeFront, ServeOutcome, ServeSummary, ServeTicket,
 };

@@ -557,6 +557,71 @@ fn hot_swap_mid_stream_changes_decisions_without_a_restart() {
 }
 
 #[test]
+fn concurrent_publishes_leave_the_newest_model_in_place() {
+    let runs = Arc::new(AtomicU64::new(0));
+    let clock = ServeClock::wall();
+    let front = ServeFront::start(
+        test_config(),
+        GuardPolicy::default(),
+        clock.clone(),
+        None,
+        {
+            let runs = runs.clone();
+            move |_| toy_cv(&Context::new(), runs.clone(), None)
+        },
+    )
+    .unwrap();
+    let artifact_for = |label: usize| {
+        let ctx = Context::new();
+        let mut cv = toy_cv(&ctx, runs.clone(), None);
+        cv.install_model(constant_model(label));
+        cv.export_artifact().unwrap()
+    };
+    let artifacts = [artifact_for(0), artifact_for(1)];
+
+    // Each round, four threads publish at once, alternating between the
+    // model that picks `small` and the one that picks `large`. Whatever
+    // order their publishes land in, the next request must be served by
+    // the artifact published under `model_version()`.
+    const PUBLISHERS: usize = 4;
+    let barrier = std::sync::Barrier::new(PUBLISHERS);
+    for round in 0..200 {
+        let published = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for t in 0..PUBLISHERS {
+                let (front, barrier, published) = (&front, &barrier, &published);
+                let label = t % 2;
+                let artifact = artifacts[label].clone();
+                s.spawn(move || {
+                    barrier.wait();
+                    let version = front.publish_artifact(artifact);
+                    published.lock().unwrap().push((version, label));
+                });
+            }
+        });
+        let published = published.into_inner().unwrap();
+        let newest = front.model_version();
+        let want = published
+            .iter()
+            .find(|&&(version, _)| version == newest)
+            .map(|&(_, label)| label)
+            .expect("model_version() names a published artifact");
+        match front
+            .submit(9.0, meta(&clock, 1, Priority::Standard, 5_000_000_000))
+            .unwrap()
+            .wait()
+        {
+            ServeOutcome::Served { variant, .. } => assert_eq!(
+                variant, want,
+                "round {round}: version {newest} picks variant {want}; published {published:?}"
+            ),
+            other => panic!("{other:?}"),
+        }
+    }
+    front.shutdown();
+}
+
+#[test]
 fn every_tier_counts_one_guarded_call_per_dispatched_request() {
     let runs = Arc::new(AtomicU64::new(0));
     let registry = MetricsRegistry::new();

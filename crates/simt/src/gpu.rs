@@ -115,8 +115,9 @@ impl Gpu {
                 None => FaultOutcome::None,
             }
         };
+        let tracer = nitro_trace::global();
         if fault == FaultOutcome::Fail {
-            if let Some(tracer) = nitro_trace::global() {
+            if let Some(tracer) = &tracer {
                 let m = tracer.metrics();
                 m.counter("simt.fault.failures").inc();
                 m.counter(&format!("simt.fault.kernel.{kernel}.failures"))
@@ -171,7 +172,7 @@ impl Gpu {
 
         match fault {
             FaultOutcome::Slow(_) => {
-                if let Some(tracer) = nitro_trace::global() {
+                if let Some(tracer) = &tracer {
                     tracer.metrics().counter("simt.fault.slowdowns").inc();
                 }
             }
@@ -182,7 +183,7 @@ impl Gpu {
                 // layers treat as a failed execution.
                 elapsed_ns = f64::NAN;
                 energy_nj = f64::NAN;
-                if let Some(tracer) = nitro_trace::global() {
+                if let Some(tracer) = &tracer {
                     tracer.metrics().counter("simt.fault.corruptions").inc();
                 }
             }
@@ -206,8 +207,8 @@ impl Gpu {
             tally,
         };
 
-        if let Some(tracer) = nitro_trace::global() {
-            self.emit_launch_trace(&tracer, &stats);
+        if let Some(tracer) = &tracer {
+            self.emit_launch_trace(tracer, &stats);
         }
 
         stats

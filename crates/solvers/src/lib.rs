@@ -15,6 +15,7 @@
 //! * [`collection`] — 26 training + 100 test systems whose groups span
 //!   the paper's behaviours, including ~6 systems nothing solves.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collection;

@@ -14,6 +14,7 @@
 //!   sort for their (real, tested) output and each charge their own
 //!   simulated cost, and [`variants::build_code_variant`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod keys;

@@ -18,6 +18,7 @@
 //! * The assembled tuned function: [`spmv::build_code_variant`] — the
 //!   Rust analog of the paper's Figure 2 `MySparse` example.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collection;

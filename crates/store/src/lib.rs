@@ -30,6 +30,7 @@
 //! Diagnostics `NITRO070`–`NITRO075` are defined in [`mod@audit`]; the
 //! code ranges are documented centrally in `nitro_core::diag`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

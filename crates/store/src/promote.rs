@@ -235,11 +235,6 @@ impl StagedPromotion {
         &self.incumbent
     }
 
-    /// The store version of the serving model, when known.
-    pub fn current_version(&self) -> Option<u64> {
-        self.incumbent_version
-    }
-
     /// Predict with the serving model (what dispatch should execute).
     pub fn predict(&self, features: &[f64]) -> usize {
         self.incumbent.model.predict(features)

@@ -39,6 +39,7 @@
 //! because substrates construct their GPUs internally. With no tracer
 //! installed every instrumentation site is a cheap `None` check.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chrome;
@@ -56,123 +57,47 @@ pub use metrics::{Counter, Gauge, HistogramSnapshot, MetricsRegistry, MetricsSna
 pub use regret::{RegretEntry, RegretLedger};
 pub use sink::{chrome_trace_json, ChromeSink, JsonlSink, MultiSink, RingSink, TraceSink};
 pub use sketch::{ConcurrentSketch, QuantileSketch, SketchConfig};
-pub use stripe::{default_stripes, StripedU64};
+pub use stripe::{default_stripes, AtomicF64, StripedU64};
 pub use tracer::{SpanGuard, Tracer};
 
 // Re-exported so instrumentation sites can build args without adding
 // their own dependency on the vendored serde value model.
 pub use serde::{Number, Value};
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 // std Mutex: the vendored parking_lot Mutex is not const-constructible.
-// It serializes *writers only* — readers never touch it.
 use std::sync::Mutex;
 
-// The global tracer slot is a single-pointer RCU with striped reader
-// counters. Readers ([`global`]) are lock-free: they announce
-// themselves on a per-thread stripe (one `fetch_add` on a cache line no
-// other stripe shares), load the pointer, clone the `Tracer` (an `Arc`
-// bump) and retire the stripe. Writers ([`install_global`] /
-// [`uninstall_global`]) swap the pointer and then spin until every
-// stripe drains to zero before freeing the old box — at that point no
-// reader can still hold the old pointer.
-//
-// Why this is sound (all protocol operations are `SeqCst`, so they form
-// one total order): a reader's stripe increment precedes its pointer
-// load. If the increment ordered *before* the writer's swap, the
-// writer's subsequent drain-check observes the nonzero stripe and
-// waits. If it ordered *after* the swap, the reader's load observes the
-// *new* pointer — it never sees the old one. Either way the writer
-// frees the old tracer only after every reader that could have seen it
-// has finished.
+// The global tracer slot has the same shape as `nitro_simt`'s global
+// fault-plan slot: a flag read on every call, and a lock taken only
+// when the flag says a tracer is installed. Install stores the tracer
+// before raising the flag and uninstall lowers the flag before taking
+// it, so the flag never reads false while a tracer sits in the slot.
 static GLOBAL_INSTALLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL_PTR: AtomicPtr<Tracer> = AtomicPtr::new(std::ptr::null_mut());
-static GLOBAL_WRITER: Mutex<()> = Mutex::new(());
-
-const READER_STRIPES: usize = 8;
-
-/// One cache line (conservatively two, for adjacent-line prefetchers)
-/// per stripe, so concurrent readers on different stripes never
-/// false-share.
-#[repr(align(128))]
-struct ReaderStripe(AtomicU64);
-
-static READERS: [ReaderStripe; READER_STRIPES] =
-    [const { ReaderStripe(AtomicU64::new(0)) }; READER_STRIPES];
-
-fn reader_stripe() -> &'static AtomicU64 {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static ORDINAL: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    let ordinal = ORDINAL.with(|slot| {
-        let mut o = slot.get();
-        if o == usize::MAX {
-            o = NEXT.fetch_add(1, Ordering::Relaxed);
-            slot.set(o);
-        }
-        o
-    });
-    &READERS[ordinal % READER_STRIPES].0
-}
-
-/// Swap the slot pointer and free the displaced tracer once all
-/// in-flight readers have drained. Callers hold the writer mutex.
-fn swap_global(new: *mut Tracer) -> Option<Tracer> {
-    let old = GLOBAL_PTR.swap(new, Ordering::SeqCst);
-    if old.is_null() {
-        return None;
-    }
-    for stripe in &READERS {
-        while stripe.0.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-    }
-    // No reader holds `old`: every stripe has drained since the swap,
-    // and any reader arriving after it sees `new`.
-    Some(*unsafe { Box::from_raw(old) })
-}
+static GLOBAL_TRACER: Mutex<Option<Tracer>> = Mutex::new(None);
 
 /// Install a tracer into the process-global slot consulted by layers
 /// that have no `Context` in scope (the SIMT simulator). Replaces any
 /// previously installed tracer.
 pub fn install_global(tracer: Tracer) {
-    let boxed = Box::into_raw(Box::new(tracer));
-    let _writer = GLOBAL_WRITER.lock().expect("global tracer writer lock");
-    swap_global(boxed);
+    *GLOBAL_TRACER.lock().expect("global tracer lock") = Some(tracer);
     GLOBAL_INSTALLED.store(true, Ordering::Release);
 }
 
 /// Remove the process-global tracer, returning it if one was installed.
 pub fn uninstall_global() -> Option<Tracer> {
-    let _writer = GLOBAL_WRITER.lock().expect("global tracer writer lock");
     GLOBAL_INSTALLED.store(false, Ordering::Release);
-    swap_global(std::ptr::null_mut())
+    GLOBAL_TRACER.lock().expect("global tracer lock").take()
 }
 
-/// The process-global tracer, if installed. Lock-free on every path:
-/// with no tracer installed this is a single atomic load; with one
-/// installed it is two stripe-local counter updates, a pointer load and
-/// an `Arc` clone. Readers never contend with each other and never
-/// block a concurrent [`install_global`] for longer than their own
-/// clone.
+/// The process-global tracer, if installed. With no tracer installed
+/// this is a single atomic load; with one installed it also takes the
+/// slot lock for an `Arc` clone.
 pub fn global() -> Option<Tracer> {
     if !GLOBAL_INSTALLED.load(Ordering::Acquire) {
         return None;
     }
-    let stripe = reader_stripe();
-    stripe.fetch_add(1, Ordering::SeqCst);
-    let ptr = GLOBAL_PTR.load(Ordering::SeqCst);
-    let out = if ptr.is_null() {
-        None
-    } else {
-        // In-bounds: the writer frees this allocation only after our
-        // stripe (incremented before the load) drains back to zero.
-        Some(unsafe { (*ptr).clone() })
-    };
-    stripe.fetch_sub(1, Ordering::SeqCst);
-    out
+    GLOBAL_TRACER.lock().expect("global tracer lock").clone()
 }
 
 #[cfg(test)]
@@ -194,10 +119,8 @@ mod tests {
         assert!(global().is_none());
         assert!(uninstall_global().is_none());
 
-        // Churn: readers hammer the slot while a writer re-installs,
-        // exercising the RCU drain path. Every successful read must
-        // yield a usable tracer (use-after-free here would crash or
-        // corrupt the Arc count).
+        // Churn: readers hammer the slot while a writer re-installs.
+        // Every successful read must yield a usable tracer.
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         std::thread::scope(|s| {
             for _ in 0..3 {

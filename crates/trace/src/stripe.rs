@@ -95,28 +95,34 @@ impl StripedU64 {
 }
 
 /// An `f64` stored in an `AtomicU64` by bit pattern. `set`/`get` are
-/// single atomic ops; the CAS helpers serve sketch sum/min/max where
-/// contention is already bounded by striping.
+/// single atomic ops; `update` is a CAS loop, for sums and extrema where
+/// contention is low or already bounded by striping. Every operation is
+/// `Relaxed`: the value publishes no other data.
 #[derive(Debug)]
-pub(crate) struct AtomicF64(AtomicU64);
+pub struct AtomicF64(AtomicU64);
 
 impl AtomicF64 {
-    pub(crate) fn new(v: f64) -> Self {
+    /// A cell holding `v`.
+    pub fn new(v: f64) -> Self {
         Self(AtomicU64::new(v.to_bits()))
     }
 
+    /// The current value.
     #[inline]
-    pub(crate) fn get(&self) -> f64 {
+    pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 
+    /// Overwrite the value.
     #[inline]
-    pub(crate) fn set(&self, v: f64) {
+    pub fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Replace the value `v` with `f(v)` atomically, retrying when
+    /// another thread changed it in between.
     #[inline]
-    pub(crate) fn update(&self, f: impl Fn(f64) -> f64) {
+    pub fn update(&self, f: impl Fn(f64) -> f64) {
         let mut cur = self.0.load(Ordering::Relaxed);
         loop {
             let next = f(f64::from_bits(cur)).to_bits();

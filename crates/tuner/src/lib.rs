@@ -35,6 +35,7 @@
 //! assert_eq!(f.call(&9.9).unwrap().variant_name, "b");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod autotuner;

@@ -298,12 +298,6 @@ impl<I: Send + Sync> OnlineCodeVariant<I> {
         self.promotion.as_ref()
     }
 
-    /// Mutable promotion access (operator actions: `release_hold`,
-    /// `promote_now`).
-    pub fn promotion_mut(&mut self) -> Option<&mut StagedPromotion> {
-        self.promotion.as_mut()
-    }
-
     /// The attached artifact store, when any.
     pub fn store(&self) -> Option<&ArtifactStore> {
         self.store.as_ref()

@@ -21,6 +21,8 @@
 //! * Benchmarks: [`nitro_sparse`], [`nitro_solvers`], [`nitro_graph`],
 //!   [`nitro_histogram`], [`nitro_sort`].
 
+#![forbid(unsafe_code)]
+
 pub use nitro_audit as audit;
 pub use nitro_core as core;
 pub use nitro_graph as graph;
