@@ -101,15 +101,17 @@ struct ServeInput {
     x: f64,
     gpu_seed: u64,
     payload: Payload,
+    /// Launches drawn so far, per variant, by every copy of the request.
+    launches: Arc<[AtomicU64; 2]>,
 }
 
 /// Per-attempt launch salt: injected launch failures are transient
 /// (each attempt redraws its fate), so the guard's retry budget can
 /// rescue an unlucky launch instead of deterministically re-failing it.
-static LAUNCH_SALT: AtomicU64 = AtomicU64::new(0);
-
-fn attempt_seed(base: u64) -> u64 {
-    let salt = LAUNCH_SALT.fetch_add(1, Ordering::Relaxed);
+/// The salt is the request's own launch count, so one seed gives each
+/// request one launch-fault schedule, however the threads interleave.
+fn attempt_seed(base: u64, launches: &AtomicU64) -> u64 {
+    let salt = launches.fetch_add(1, Ordering::Relaxed);
     base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
@@ -125,7 +127,7 @@ fn serve_cv(ctx: &Context) -> CodeVariant<ServeInput> {
     {
         let cfg = cfg.clone();
         cv.add_variant(FnVariant::new("lean", move |inp: &ServeInput| {
-            let gpu = Gpu::with_seed(cfg.clone(), attempt_seed(inp.gpu_seed));
+            let gpu = Gpu::with_seed(cfg.clone(), attempt_seed(inp.gpu_seed, &inp.launches[0]));
             let work = 2_000 + (inp.x * 400.0) as u64;
             let stats = gpu.launch("serve_lean", 1, Schedule::EvenShare, |_b, bctx| {
                 bctx.charge_ops(work);
@@ -135,7 +137,8 @@ fn serve_cv(ctx: &Context) -> CodeVariant<ServeInput> {
         }));
     }
     cv.add_variant(FnVariant::new("thorough", move |inp: &ServeInput| {
-        let gpu = Gpu::with_seed(cfg.clone(), attempt_seed(inp.gpu_seed ^ 0xA5A5));
+        let seed = attempt_seed(inp.gpu_seed ^ 0xA5A5, &inp.launches[1]);
+        let gpu = Gpu::with_seed(cfg.clone(), seed);
         let work = 6_000 + (inp.x * 100.0) as u64;
         let stats = gpu.launch("serve_thorough", 2, Schedule::Dynamic, |_b, bctx| {
             bctx.charge_ops(work);
@@ -351,6 +354,7 @@ impl Ramp {
                 x,
                 gpu_seed: rng_salt ^ (i as u64) << 8,
                 payload: Payload::Healthy,
+                launches: Arc::default(),
             };
             if let Ok(ticket) = self.front.submit(input, meta) {
                 tickets.push(ticket);
@@ -750,6 +754,7 @@ fn storm(plan: ChaosPlan, gates: &mut Gates) -> BenchResult<StormReport> {
             x: (mix64(plan.seed ^ i) % 1_000) as f64 / 100.0,
             gpu_seed: plan.seed ^ (i << 8),
             payload,
+            launches: Arc::default(),
         };
         match front.submit(input, meta) {
             Ok(ticket) => {
@@ -986,7 +991,16 @@ fn print_summary(report: &ServeReport, path: &Path) {
         storm.fs_faults_injected,
         storm.conserved,
     );
-    println!("  storm outcomes: {:?}", storm.outcomes);
+    let outcomes = |class: &str| -> u64 {
+        let counts = storm.outcomes.iter().filter(|(c, _)| c.starts_with(class));
+        counts.map(|(_, n)| n).sum()
+    };
+    println!(
+        "  storm outcomes: served {} · shed {} · {:?}",
+        outcomes("served"),
+        outcomes("shed"),
+        storm.outcomes
+    );
     println!(
         "  store churn: {} publish(es), {} ok, {} typed fault(s), {} corrupt skipped, \
          {} verified load(s) served, {} corrupt served",

@@ -7,6 +7,7 @@
 //! variant — falling back to the default when a constraint vetoes the
 //! prediction.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use nitro_ml::{PredictScratch, TrainedModel};
@@ -16,7 +17,9 @@ use crate::context::Context;
 use crate::error::{NitroError, Result};
 use crate::feature::{Constraint, InputFeature};
 use crate::model::ModelArtifact;
-use crate::observer::{DispatchMetrics, DispatchObservation, DispatchObserver, DispatchRecord};
+use crate::observer::{
+    DispatchMetrics, DispatchObservation, DispatchObserver, DispatchRecord, ModelCost,
+};
 use crate::policy::TuningPolicy;
 use crate::predicate::{ConstraintDescriptor, Predicate};
 use crate::variant::Variant;
@@ -65,6 +68,25 @@ fn evaluate_active<I: ?Sized + Sync>(
         }
         (values, cost)
     }
+}
+
+thread_local! {
+    /// Model-evaluation buffers for this thread's dispatches, plain and
+    /// guarded: after the first call a prediction allocates nothing.
+    static PREDICT_SCRATCH: RefCell<PredictScratch> = RefCell::default();
+}
+
+/// The head decision of one dispatch (paper §II-B): the model's vote
+/// winner and the constraint verdict on it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Decision {
+    /// The vote winner, clamped to the registered variants; `None`
+    /// without a model.
+    pub head: Option<usize>,
+    /// Whether a constraint attached to the head rejects the input.
+    pub vetoed: bool,
+    /// What the model evaluation cost.
+    pub cost: ModelCost,
 }
 
 /// Outcome of one dispatched call.
@@ -140,7 +162,6 @@ pub struct CodeVariant<I: ?Sized> {
     model: Option<TrainedModel>,
     policy: TuningPolicy,
     pending: Option<Pending<I>>,
-    scratch: PredictScratch,
     metrics: Option<DispatchMetrics>,
     observer: Option<Arc<dyn DispatchObserver>>,
 }
@@ -158,7 +179,6 @@ impl<I: ?Sized> CodeVariant<I> {
             model: None,
             policy: TuningPolicy::default(),
             pending: None,
-            scratch: PredictScratch::default(),
             metrics: None,
             observer: None,
         }
@@ -554,37 +574,56 @@ impl<I: ?Sized> CodeVariant<I> {
         self.model.as_ref().map(|m| m.predict(features))
     }
 
-    /// [`CodeVariant::select`] into caller scratch
-    /// ([`TrainedModel::predict_into`]): the vote winner, with a
-    /// posterior coupled only to break a vote tie. `None` without a
-    /// model. The `nitro-guard` dispatch loop tries this winner first and
-    /// ranks the rest only when it is skipped or fails.
-    pub fn predict_into(&self, features: &[f64], scratch: &mut PredictScratch) -> Option<usize> {
-        self.model
-            .as_ref()
-            .map(|m| m.predict_into(features, scratch))
+    /// Run the installed model on this thread's scratch and report what
+    /// it cost; `None` without a model. The scratch is borrowed only while
+    /// the model runs: constraint and variant code may dispatch again on
+    /// this thread.
+    fn run_model<T>(
+        &self,
+        eval: impl FnOnce(&TrainedModel, &mut PredictScratch) -> T,
+    ) -> Option<(T, ModelCost)> {
+        let model = self.model.as_ref()?;
+        let start = self.is_observed().then(std::time::Instant::now);
+        let mut cost = ModelCost::default();
+        let out = PREDICT_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            let out = eval(model, &mut scratch);
+            cost.kernel_evals = scratch.take_kernel_evals();
+            out
+        });
+        cost.predict_wall_ns = start.map_or(0, |start| start.elapsed().as_nanos() as u64);
+        Some((out, cost))
     }
 
-    /// Model prediction and ranking for a feature vector from one model
-    /// evaluation ([`TrainedModel::predict_rank_into`]): returns what
-    /// [`CodeVariant::select`] returns and writes every class into
-    /// `ranked`, from most to least preferred by the model's posterior.
-    /// `None` without a model. The `nitro-guard` fallback cascade walks
-    /// this ranking when preferred variants are quarantined or vetoed.
-    pub fn predict_rank_into(
-        &self,
-        features: &[f64],
-        scratch: &mut PredictScratch,
-        ranked: &mut Vec<usize>,
-    ) -> Option<usize> {
-        self.model
-            .as_ref()
-            .map(|m| m.predict_rank_into(features, scratch, ranked))
+    /// The one head decision of plain and guarded dispatch: the model's
+    /// vote winner for `features` ([`TrainedModel::predict_into`]: a
+    /// posterior is coupled only on a vote tie), clamped to the variants,
+    /// and whether its constraints veto it on `input`.
+    pub fn decide(&self, input: &I, features: &[f64]) -> Decision {
+        let Some((predicted, cost)) = self.run_model(|m, s| m.predict_into(features, s)) else {
+            return Decision::default();
+        };
+        let head = predicted.min(self.variants.len().saturating_sub(1));
+        Decision {
+            head: Some(head),
+            vetoed: !self.constraints_satisfied(head, input),
+            cost,
+        }
+    }
+
+    /// [`CodeVariant::decide`]'s model pass plus the ranking the
+    /// `nitro-guard` cascade walks, from one model evaluation
+    /// ([`TrainedModel::predict_rank_into`]): the clamped vote winner,
+    /// and every class in `ranked`, most preferred first.
+    pub fn rank(&self, features: &[f64], ranked: &mut Vec<usize>) -> (Option<usize>, ModelCost) {
+        let last = self.variants.len().saturating_sub(1);
+        self.run_model(|m, s| m.predict_rank_into(features, s, ranked).min(last))
+            .map_or((None, ModelCost::default()), |(p, cost)| (Some(p), cost))
     }
 
     /// The full dispatch pipeline: evaluate features, consult the model,
     /// apply constraints, execute, record statistics.
-    pub fn call(&mut self, input: &I) -> Result<Invocation>
+    pub fn call(&self, input: &I) -> Result<Invocation>
     where
         I: Sync,
     {
@@ -666,7 +705,7 @@ impl<I: ?Sized> CodeVariant<I> {
     /// `nitro-guard` differs on both by design: its cascade treats a
     /// non-finite objective as a failure and walks the model's ranking.
     fn dispatch(
-        &mut self,
+        &self,
         input: &I,
         features: Vec<f64>,
         feature_cost_ns: f64,
@@ -688,50 +727,42 @@ impl<I: ?Sized> CodeVariant<I> {
         if self.variants.is_empty() {
             return Err(NitroError::NoVariants);
         }
-        // Prediction cost on the host wall clock: one Instant read, only
-        // when the dispatch is recorded.
-        let predict_start = self.is_observed().then(std::time::Instant::now);
-        let predicted = match (&self.model, self.default_variant) {
-            // Scratch-buffer prediction: after the first call the model
-            // hot path performs no allocations.
-            (Some(m), _) => m.predict_into(&features, &mut self.scratch),
-            (None, Some(d)) => self.checked_default(d)?,
+        let decision = self.decide(input, &features);
+        // Without a model the default is the selection, and its own
+        // constraints still apply.
+        let (intended, vetoed) = match (decision.head, self.default_variant) {
+            (Some(head), _) => (head, decision.vetoed),
+            (None, Some(d)) => (
+                self.checked_default(d)?,
+                !self.constraints_satisfied(d, input),
+            ),
             (None, None) => return Err(NitroError::NoSelectionPossible),
         };
-        let kernel_evals = self.scratch.take_kernel_evals();
-        let predict_wall_ns = predict_start.map_or(0, |start| start.elapsed().as_nanos() as u64);
-
         // Online constraint handling: revert to the default variant when
-        // the predicted one is vetoed (paper §II-B).
-        let mut fell_back = false;
-        let intended = predicted.min(self.variants.len() - 1);
-        let mut chosen = intended;
-        if !self.constraints_satisfied(chosen, input) {
-            fell_back = true;
-            chosen = match self.default_variant {
-                Some(d) => self.checked_default(d)?,
-                None => 0,
-            };
-        }
+        // the selected one is vetoed (paper §II-B).
+        let chosen = match (vetoed, self.default_variant) {
+            (false, _) => intended,
+            (true, Some(d)) => self.checked_default(d)?,
+            (true, None) => 0,
+        };
 
         let objective = self.variants[chosen].invoke(input);
 
         self.observe_dispatch(&DispatchRecord {
             variant: chosen,
             intended,
-            fell_back,
+            fell_back: vetoed,
             objective_ns: objective,
             feature_cost_ns,
-            predict_wall_ns,
-            kernel_evals,
+            model: decision.cost,
             features: &features,
             via_async,
         });
 
         if let Some(s) = span.as_mut() {
-            s.end_arg("predicted", nitro_trace::val(&predicted));
+            s.end_arg("predicted", nitro_trace::val(&intended));
             s.end_arg("chosen", nitro_trace::val(&chosen));
-            s.end_arg("vetoed", nitro_trace::val(&fell_back));
+            s.end_arg("vetoed", nitro_trace::val(&vetoed));
             s.end_arg("objective_ns", nitro_trace::val(&objective));
         }
 
@@ -741,7 +772,7 @@ impl<I: ?Sized> CodeVariant<I> {
             objective,
             features,
             feature_cost_ns,
-            fell_back_to_default: fell_back,
+            fell_back_to_default: vetoed,
         })
     }
 }
@@ -821,13 +852,13 @@ mod tests {
     #[test]
     fn no_variants_is_an_error() {
         let ctx = Context::new();
-        let mut cv: CodeVariant<f64> = CodeVariant::new("empty", &ctx);
+        let cv: CodeVariant<f64> = CodeVariant::new("empty", &ctx);
         assert!(matches!(cv.call(&1.0), Err(NitroError::NoVariants)));
     }
 
     #[test]
     fn without_model_uses_default() {
-        let mut cv = toy();
+        let cv = toy();
         let inv = cv.call(&8.0).unwrap();
         assert_eq!(inv.variant, 0);
         assert_eq!(inv.variant_name, "small");
@@ -1150,25 +1181,63 @@ mod tests {
     }
 
     #[test]
-    fn predict_rank_into_starts_at_prediction_and_covers_all_variants() {
+    fn rank_starts_at_the_decided_head_and_covers_all_variants() {
         let mut cv = toy();
-        let mut scratch = PredictScratch::default();
         let mut order = Vec::new();
-        assert!(cv
-            .predict_rank_into(&[1.0], &mut scratch, &mut order)
-            .is_none());
-        assert!(cv.predict_into(&[1.0], &mut scratch).is_none());
+        assert_eq!(cv.rank(&[1.0], &mut order), (None, ModelCost::default()));
+        let undecided = cv.decide(&1.0, &[1.0]);
+        assert_eq!((undecided.head, undecided.vetoed), (None, false));
         cv.install_model(toy_model());
-        for x in [1.0, 9.0] {
+        cv.add_constraint(1, FnConstraint::new("x <= 9", |&x: &f64| x <= 9.0))
+            .unwrap();
+        for (x, vetoed) in [(1.0, false), (9.0, false), (9.5, true)] {
             let (features, _) = cv.evaluate_features(&x);
-            let predicted = cv.predict_rank_into(&features, &mut scratch, &mut order);
+            let (predicted, _) = cv.rank(&features, &mut order);
             assert_eq!(predicted, cv.select(&features));
-            assert_eq!(cv.predict_into(&features, &mut scratch), predicted);
+            let decision = cv.decide(&x, &features);
+            assert_eq!((decision.head, decision.vetoed), (predicted, vetoed));
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1]);
             assert_eq!(order[0], predicted.unwrap());
         }
+    }
+
+    #[test]
+    fn plain_calls_nest_inside_constraints_and_variants() {
+        // The thread's model scratch is borrowed only while the model
+        // runs, so user code may make plain calls of its own.
+        let mut inner = toy();
+        inner.install_model(toy_model());
+        let registry = nitro_trace::MetricsRegistry::new();
+        inner.bind_metrics(&registry);
+        let inner = Arc::new(inner);
+        let mut outer = toy();
+        let nested = inner.clone();
+        outer
+            .replace_variant(
+                1,
+                Arc::new(FnVariant::new("large", move |&x: &f64| {
+                    nested.call(&x).unwrap().objective
+                })),
+            )
+            .unwrap();
+        let nested = inner.clone();
+        outer
+            .add_constraint(
+                1,
+                FnConstraint::new("nested", move |&x: &f64| nested.call(&x).is_ok()),
+            )
+            .unwrap();
+        outer.install_model(toy_model());
+        let inv = outer.call(&9.0).unwrap();
+        assert_eq!(inv.variant, 1);
+        assert_eq!(inv.objective, 10.0 - 9.0 * 0.5);
+        assert_eq!(
+            registry.counter_value("dispatch.toy.calls"),
+            Some(2),
+            "one from the constraint, one from the variant"
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod predicate;
 pub mod request;
 pub mod variant;
 
-pub use code_variant::{CodeVariant, Invocation};
+pub use code_variant::{CodeVariant, Decision, Invocation};
 pub use context::Context;
 pub use diag::{Diagnostic, Severity};
 pub use error::{NitroError, Result};
@@ -65,7 +65,7 @@ pub use fsio::{
     FsPolicy, RetryPolicy,
 };
 pub use model::{ModelArtifact, MODEL_SCHEMA_VERSION};
-pub use observer::{DispatchObservation, DispatchObserver, DispatchRecord};
+pub use observer::{DispatchObservation, DispatchObserver, DispatchRecord, ModelCost};
 pub use policy::{StoppingCriterion, TuningPolicy};
 pub use predicate::{CmpOp, ConstraintDescriptor, Predicate};
 pub use request::{Deadline, Priority, RequestMeta, TenantId};
@@ -73,4 +73,4 @@ pub use variant::{FnVariant, Objective, Variant};
 
 // Re-export the ML types that appear in this crate's public API, so
 // downstream crates don't need a direct nitro-ml dependency for basic use.
-pub use nitro_ml::{ClassifierConfig, PredictScratch, TrainedModel};
+pub use nitro_ml::{ClassifierConfig, TrainedModel};

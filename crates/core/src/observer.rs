@@ -57,17 +57,25 @@ pub struct DispatchRecord<'a> {
     pub objective_ns: f64,
     /// Feature-extraction cost charged to this call (simulated ns).
     pub feature_cost_ns: f64,
-    /// Wall-clock nanoseconds the model prediction took (0 when no
-    /// model ran, or when nothing records the dispatch).
-    pub predict_wall_ns: u64,
-    /// Kernel evaluations the prediction performed.
-    pub kernel_evals: u64,
+    /// What the model evaluations of this call cost (nothing when no
+    /// model ran).
+    pub model: ModelCost,
     /// The feature vector the selection used (empty when none was
     /// evaluated).
     pub features: &'a [f64],
     /// True when the call went through the async feature-evaluation
     /// path (`fix_inputs` / `call_fixed`).
     pub via_async: bool,
+}
+
+/// What the model evaluations of one dispatch cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ModelCost {
+    /// Kernel evaluations the model performed.
+    pub kernel_evals: u64,
+    /// Host wall-clock nanoseconds the model took; zero unless the
+    /// dispatch is recorded ([`crate::CodeVariant::is_observed`]).
+    pub predict_wall_ns: u64,
 }
 
 /// Receiver of per-dispatch observations. Implementations must be
@@ -142,11 +150,11 @@ impl DispatchMetrics {
         }
         self.latency.record(o.objective_ns);
         self.feature.record(o.feature_cost_ns);
-        if o.predict_wall_ns > 0 {
-            self.predict.record(o.predict_wall_ns as f64);
+        if o.model.predict_wall_ns > 0 {
+            self.predict.record(o.model.predict_wall_ns as f64);
         }
-        if o.kernel_evals > 0 {
-            self.kernel_evals.add(o.kernel_evals);
+        if o.model.kernel_evals > 0 {
+            self.kernel_evals.add(o.model.kernel_evals);
         }
     }
 }

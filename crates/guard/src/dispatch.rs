@@ -40,41 +40,15 @@
 //! set. A traced guard also emits a `guard:<fn>` instant per state
 //! transition.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use nitro_audit::AuditedInstall;
-use nitro_core::{CodeVariant, DispatchRecord, ModelArtifact, NitroError, PredictScratch, Result};
+use nitro_core::{CodeVariant, DispatchRecord, ModelArtifact, ModelCost, NitroError, Result};
 use nitro_trace::{AtomicF64, Counter, MetricsRegistry};
 
 use crate::audit::audit_guard_policy;
 use crate::breaker::{BreakerState, CircuitBreaker, GuardPolicy, Transition};
-
-thread_local! {
-    /// Model-evaluation buffers for the guarded calls made on this
-    /// thread. A serve worker owns its thread, so each shard gets its
-    /// own arena and steady-state planning allocates nothing beyond the
-    /// cascade it returns.
-    static PREDICT_SCRATCH: RefCell<PredictScratch> = RefCell::default();
-}
-
-/// What the model evaluations of one call cost, for the dispatch
-/// record.
-#[derive(Debug, Clone, Copy, Default)]
-struct ModelCost {
-    kernel_evals: u64,
-    /// Zero unless the dispatch is recorded (`CodeVariant::is_observed`).
-    predict_wall_ns: u64,
-}
-
-impl ModelCost {
-    fn add(&mut self, other: ModelCost) {
-        self.kernel_evals += other.kernel_evals;
-        self.predict_wall_ns += other.predict_wall_ns;
-    }
-}
 
 /// Whether the guard is serving model-driven or degraded traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -593,37 +567,13 @@ impl<I: ?Sized> GuardedVariant<I> {
     /// Breaker availability is *not* applied here — quarantine is a
     /// dispatch-time decision (see [`GuardedVariant::call`]).
     pub fn plan_cascade(&self, features: &[f64], input: &I) -> Vec<usize> {
-        self.plan(features, input, false).0
-    }
-
-    /// Run one model evaluation on this thread's scratch and report what
-    /// it cost: its kernel evaluations always, its wall time when `timed`.
-    fn evaluate_model<T>(
-        &self,
-        timed: bool,
-        eval: impl FnOnce(&mut PredictScratch) -> T,
-    ) -> (T, ModelCost) {
-        let mut cost = ModelCost::default();
-        let start = timed.then(Instant::now);
-        // Borrow the scratch across the model evaluation only: the
-        // constraint and variant code that runs later may make a guarded
-        // call of its own on this thread.
-        let out = PREDICT_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let out = eval(&mut scratch);
-            cost.kernel_evals = scratch.take_kernel_evals();
-            out
-        });
-        if let Some(start) = start {
-            cost.predict_wall_ns = start.elapsed().as_nanos() as u64;
-        }
-        (out, cost)
+        self.plan(features, input).0
     }
 
     /// [`GuardedVariant::plan_cascade`], plus what the model evaluation
-    /// cost. The model is evaluated once: the prediction and the ranking
-    /// come from one decision pass.
-    fn plan(&self, features: &[f64], input: &I, timed: bool) -> (Vec<usize>, ModelCost) {
+    /// cost. The model is evaluated once ([`CodeVariant::rank`]): the
+    /// prediction and the ranking come from one decision pass.
+    fn plan(&self, features: &[f64], input: &I) -> (Vec<usize>, ModelCost) {
         let n = self.cv.n_variants();
         if n == 0 {
             return (Vec::new(), ModelCost::default());
@@ -635,11 +585,8 @@ impl<I: ?Sized> GuardedVariant<I> {
         // The ranking is written straight into the cascade, then
         // reordered and filtered in place.
         let mut cascade = Vec::with_capacity(n + 1);
-        let (predicted, cost) = self.evaluate_model(timed, |scratch| {
-            self.cv.predict_rank_into(features, scratch, &mut cascade)
-        });
+        let (predicted, cost) = self.cv.rank(features, &mut cascade);
         if let Some(pred) = predicted {
-            let pred = pred.min(n - 1);
             // Lead with the prediction; the rest keep their rank order.
             match cascade.iter().position(|&v| v == pred) {
                 Some(k) => cascade[..=k].rotate_right(1),
@@ -734,23 +681,25 @@ impl<I: ?Sized> GuardedVariant<I> {
             )
         });
 
-        let observed = self.cv.is_observed();
         let mut model_cost = ModelCost::default();
+        // The head is skipped when a constraint vetoes it, unless it is
+        // the default (the terminal).
+        let default = self.cv.default_variant();
         let head = match head {
             // The paper's dispatch needs only the vote winner; the ranked
             // cascade waits until the winner is skipped or fails.
             None if !degraded => {
                 let (f, _) = features.get_or_insert_with(|| self.cv.evaluate_features(input));
-                let (predicted, cost) =
-                    self.evaluate_model(observed, |scratch| self.cv.predict_into(f, scratch));
-                model_cost = cost;
-                predicted.map(|p| p.min(n - 1))
+                let decision = self.cv.decide(input, f);
+                model_cost = decision.cost;
+                decision
+                    .head
+                    .filter(|&h| !decision.vetoed || Some(h) == default)
             }
-            head => head,
+            head => head.filter(|&h| {
+                h < n && (Some(h) == default || self.cv.constraints_satisfied(h, input))
+            }),
         };
-        let default = self.cv.default_variant();
-        let head = head
-            .filter(|&h| h < n && (Some(h) == default || self.cv.constraints_satisfied(h, input)));
         let mut served = head.and_then(|h| self.attempt(h, input, &mut run).map(|o| (h, o)));
         let (features, feature_cost_ns) = match (&served, features) {
             (_, Some(given)) => given,
@@ -760,8 +709,9 @@ impl<I: ?Sized> GuardedVariant<I> {
         let cascade = if served.is_some() {
             head.into_iter().collect()
         } else {
-            let (mut cascade, cost) = self.plan(&features, input, observed);
-            model_cost.add(cost);
+            let (mut cascade, cost) = self.plan(&features, input);
+            model_cost.kernel_evals += cost.kernel_evals;
+            model_cost.predict_wall_ns += cost.predict_wall_ns;
             // The head leads the cascade it was tried from; the rest
             // follow in plan order.
             if let Some(h) = head {
@@ -810,8 +760,7 @@ impl<I: ?Sized> GuardedVariant<I> {
             fell_back,
             objective_ns: objective,
             feature_cost_ns,
-            predict_wall_ns: model_cost.predict_wall_ns,
-            kernel_evals: model_cost.kernel_evals,
+            model: model_cost,
             features: &features,
             via_async: false,
         });
@@ -985,9 +934,11 @@ mod tests {
         fn on_dispatch(&self, o: &nitro_core::DispatchObservation<'_>) {
             self.calls.fetch_add(1, Ordering::Relaxed);
             self.kernel_evals
-                .fetch_add(o.record.kernel_evals, Ordering::Relaxed);
-            self.timed
-                .fetch_add(u64::from(o.record.predict_wall_ns > 0), Ordering::Relaxed);
+                .fetch_add(o.record.model.kernel_evals, Ordering::Relaxed);
+            self.timed.fetch_add(
+                u64::from(o.record.model.predict_wall_ns > 0),
+                Ordering::Relaxed,
+            );
         }
     }
 
@@ -1399,7 +1350,7 @@ mod tests {
             cv
         };
         let ctx = Context::new();
-        let mut plain = build(&ctx);
+        let plain = build(&ctx);
         let (features, _) = plain.evaluate_features(&9.4);
         assert_eq!(plain.select(&features), Some(1), "the model predicts large");
 

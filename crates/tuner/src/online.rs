@@ -398,7 +398,7 @@ mod tests {
         for x in stream(60) {
             online.call(&x).unwrap();
         }
-        let mut cv = online.into_inner();
+        let cv = online.into_inner();
         assert!(cv.has_model());
         assert_eq!(cv.call(&9.0).unwrap().variant_name, "high");
     }

@@ -6,8 +6,6 @@
 //! cargo run --release --example spmv_library
 //! ```
 
-use std::sync::Mutex;
-
 use nitro::core::{CodeVariant, Context};
 use nitro::simt::DeviceConfig;
 use nitro::sparse::collection::spmv_small_sets;
@@ -22,7 +20,7 @@ mod my_sparse {
     use super::*;
 
     pub struct MySparse {
-        spmv: Mutex<CodeVariant<SpmvInput>>,
+        spmv: CodeVariant<SpmvInput>,
     }
 
     impl MySparse {
@@ -41,17 +39,14 @@ mod my_sparse {
                 "[my_sparse] tuned 'spmv' on {} matrices; class counts {:?}",
                 report.training_inputs, report.class_counts
             );
-            Self {
-                spmv: Mutex::new(spmv),
-            }
+            Self { spmv }
         }
 
         /// The public entry point: computes `y = A x` with the
         /// automatically selected variant, returning the chosen variant
         /// name for demonstration purposes.
         pub fn sparse_mat_vec(&self, matrix: &SpmvInput) -> (Vec<f64>, String) {
-            let mut spmv = self.spmv.lock().unwrap();
-            let outcome = spmv.call(matrix).expect("dispatch succeeds");
+            let outcome = self.spmv.call(matrix).expect("dispatch succeeds");
             // Nitro variants return the objective; the product itself is
             // recomputed here through the reference kernel for clarity.
             (matrix.csr.spmv_reference(&matrix.x), outcome.variant_name)

@@ -28,7 +28,7 @@ fn online_tuning_learns_sort_selection_in_production() {
     assert!(online.stats().retrains >= 1);
 
     // The learned model routes 32-bit uniform keys to Radix.
-    let mut cv = online.into_inner();
+    let cv = online.into_inner();
     let probe = nitro::sort::keys::generate("uniform", 3_000, false, 999, "probe");
     assert_eq!(cv.call(&probe).unwrap().variant_name, "Radix");
 }

@@ -1,7 +1,7 @@
-//! Allocation gate for the guard's serving path: after warm-up, an
-//! untraced `GuardedVariant::call` allocates only the values it returns,
-//! both when the model's vote winner serves and when a veto sends the
-//! call through the ranked cascade.
+//! Allocation gate for the dispatch paths: after warm-up, an untraced
+//! `GuardedVariant::call` or `CodeVariant::call` allocates only the
+//! values it returns, both when the model's vote winner serves and when
+//! a veto sends the call to the default or through the ranked cascade.
 //!
 //! A counting global allocator measures whole batches of calls, so this
 //! file holds exactly one test: nothing else may allocate while it runs.
@@ -86,13 +86,12 @@ fn inputs() -> Vec<f64> {
     (0..30).map(|i| f64::from(i) * 0.5).collect()
 }
 
-/// Allocations per guarded call over two identical batches, after a
-/// warm-up batch that compiles the model and sizes this thread's
-/// scratch.
-fn allocations_per_call(guard: &nitro::guard::GuardedVariant<f64>, xs: &[f64]) -> f64 {
+/// Allocations per call over two identical batches, after a warm-up
+/// batch that compiles the model and sizes this thread's scratch.
+fn allocations_per_call(call: impl Fn(f64), xs: &[f64]) -> f64 {
     let run_batch = || {
         for &x in xs {
-            std::hint::black_box(guard.call(&x).unwrap());
+            call(x);
         }
     };
     run_batch();
@@ -108,10 +107,23 @@ fn untraced_guarded_call_allocates_only_its_result() {
     // so no call ranks. Each allocates the feature vector, the one-entry
     // cascade and the variant name.
     let served = guard(false);
-    let per_call = allocations_per_call(&served, &inputs());
+    let guarded = |x: f64| {
+        std::hint::black_box(served.call(&x).unwrap());
+    };
+    let per_call = allocations_per_call(guarded, &inputs());
     assert!(
         per_call <= 3.0,
         "{per_call} allocations per served guarded call, expected at most 3"
+    );
+    // The same registration through plain dispatch: the feature vector
+    // and the variant name.
+    let plain = |x: f64| {
+        std::hint::black_box(served.inner().call(&x).unwrap());
+    };
+    let per_call = allocations_per_call(plain, &inputs());
+    assert!(
+        per_call <= 2.0,
+        "{per_call} allocations per served plain call, expected at most 2"
     );
 
     // The vetoed batch: every prediction is a vetoed variant, so every
@@ -130,10 +142,23 @@ fn untraced_guarded_call_allocates_only_its_result() {
         let inv = vetoed.call(&x).unwrap();
         let (features, _) = vetoed.inner().evaluate_features(&x);
         assert_eq!(inv.cascade, vetoed.plan_cascade(&features, &x));
+        assert!(vetoed.inner().call(&x).unwrap().fell_back_to_default);
     }
-    let per_call = allocations_per_call(&vetoed, &xs);
+    let guarded = |x: f64| {
+        std::hint::black_box(vetoed.call(&x).unwrap());
+    };
+    let per_call = allocations_per_call(guarded, &xs);
     assert!(
         per_call <= 3.0,
         "{per_call} allocations per vetoed guarded call, expected at most 3"
+    );
+    // Plain dispatch runs the default on the same vetoes.
+    let plain = |x: f64| {
+        std::hint::black_box(vetoed.inner().call(&x).unwrap());
+    };
+    let per_call = allocations_per_call(plain, &xs);
+    assert!(
+        per_call <= 2.0,
+        "{per_call} allocations per vetoed plain call, expected at most 2"
     );
 }

@@ -7,12 +7,19 @@
 //! - the artifact of an incremental (BvSB) tune of
 //!   `INCREMENTAL_ITERATIONS` queries (paper Fig. 7),
 //!
-//! and checks each digest against a recorded constant.
+//! and checks each digest against a recorded constant. The plain
+//! selections are digested a second time from two threads that share
+//! one `&CodeVariant`.
 //!
 //! Each suite is also tuned with `Autotuner::tune_durable`, killed once
 //! partway through the second profiled input (a torn journal tail) and
 //! resumed: the resumed artifact must digest to the same constant as the
 //! plain tune's.
+//!
+//! The suites' small sets reach neither the constraint veto nor an SVM
+//! vote tie, so two hand-built registrations pin those paths: a veto
+//! runs the default in plain dispatch and the next-ranked allowed
+//! variant in guarded dispatch, and a tie takes the posterior's winner.
 //!
 //! A refactor that deletes or moves code must leave every selection
 //! as it was. A digest mismatch means a change moved a trained model or
@@ -21,8 +28,11 @@
 //! description.
 
 use nitro::core::context::temp_model_dir;
-use nitro::core::{Context, StoppingCriterion};
+use nitro::core::{
+    ClassifierConfig, CodeVariant, Context, FnConstraint, FnFeature, FnVariant, StoppingCriterion,
+};
 use nitro::guard::{GuardPolicy, GuardedVariant};
+use nitro::ml::{Dataset, TrainedModel};
 use nitro::store::TuningJournal;
 use nitro::tuner::Autotuner;
 use nitro_bench::{for_each_suite, BenchResult, Suite, SuiteSpec, SuiteVisitor};
@@ -51,13 +61,40 @@ impl Digest {
     }
 }
 
-/// One suite's digests: artifact, plain selections, guarded selections,
-/// the artifact of the killed and resumed durable tune, and the
-/// incremental tune's artifact.
+/// One suite's digests: artifact, plain selections, the plain
+/// selections from two threads, guarded selections, the artifact of the
+/// killed and resumed durable tune, and the incremental tune's artifact.
 struct Selections;
 
+/// `cv.call`'s selection for every input, computed by two threads that
+/// share `cv` and take alternate inputs, merged back in input order.
+fn two_thread_selections<I: Send + Sync + 'static>(
+    cv: &CodeVariant<I>,
+    inputs: &[I],
+) -> Vec<Option<usize>> {
+    let halves: Vec<Vec<Option<usize>>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|t| {
+                s.spawn(move || {
+                    inputs
+                        .iter()
+                        .skip(t)
+                        .step_by(2)
+                        .map(|input| cv.call(input).ok().map(|inv| inv.variant))
+                        .collect()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("selection thread"))
+            .collect()
+    });
+    (0..inputs.len()).map(|i| halves[i % 2][i / 2]).collect()
+}
+
 impl SuiteVisitor for Selections {
-    type Output = (&'static str, [u64; 5]);
+    type Output = (&'static str, [u64; 6]);
 
     fn visit<I: Send + Sync + 'static>(
         &mut self,
@@ -72,6 +109,10 @@ impl SuiteVisitor for Selections {
         let mut plain = Digest::new();
         for input in suite.test {
             plain.selection(cv.call(input).ok().map(|inv| inv.variant));
+        }
+        let mut threaded = Digest::new();
+        for selection in two_thread_selections(&cv, suite.test) {
+            threaded.selection(selection);
         }
 
         let guard = GuardedVariant::new(cv, GuardPolicy::default())?;
@@ -118,7 +159,14 @@ impl SuiteVisitor for Selections {
 
         Ok((
             suite.name,
-            [artifact.0, plain.0, guarded.0, durable.0, incremental.0],
+            [
+                artifact.0,
+                plain.0,
+                threaded.0,
+                guarded.0,
+                durable.0,
+                incremental.0,
+            ],
         ))
     }
 }
@@ -175,9 +223,11 @@ fn tuned_models_and_per_input_selections_are_stable() {
     ];
     for ((name, digests), (want_name, want_digests)) in got.iter().zip(want) {
         assert_eq!(*name, want_name);
-        // The resumed durable tune must land on the plain tune's artifact.
+        // Two threads sharing the dispatcher select what one does, and
+        // the resumed durable tune lands on the plain tune's artifact.
         let want_digests = [
             want_digests[0],
+            want_digests[1],
             want_digests[1],
             want_digests[2],
             want_digests[0],
@@ -186,6 +236,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
         for (what, (g, w)) in [
             "artifact",
             "plain selections",
+            "plain selections from two threads",
             "guarded selections",
             "resumed durable artifact",
             "incremental artifact",
@@ -200,4 +251,179 @@ fn tuned_models_and_per_input_selections_are_stable() {
         }
     }
     assert_eq!(got.len(), want.len());
+}
+
+/// Three variants over `x` and a three-class SVM: `narrow` (the
+/// default) below 5, `mid` below 10, `wide` above. `wide` may only run
+/// up to x = 12, so the model's winner is vetoed on the largest inputs.
+/// Dispatch metrics are bound to `registry`.
+fn veto_registration(registry: &nitro::trace::MetricsRegistry) -> CodeVariant<f64> {
+    let mut cv = CodeVariant::<f64>::new("veto", &Context::new());
+    cv.add_variant(FnVariant::new("narrow", |&x: &f64| 1.0 + x));
+    cv.add_variant(FnVariant::new("mid", |&x: &f64| 5.0 + 0.5 * x));
+    cv.add_variant(FnVariant::new("wide", |&x: &f64| 20.0 - x));
+    cv.set_default(0);
+    cv.add_input_feature(FnFeature::new("x", |&x: &f64| x));
+    cv.add_input_feature(FnFeature::new("x2", |&x: &f64| x * x));
+    cv.add_constraint(2, FnConstraint::new("x <= 12", |&x: &f64| x <= 12.0))
+        .unwrap();
+    let xs = veto_inputs();
+    let data = Dataset::from_parts(
+        xs.iter().map(|&x| vec![x, x * x]).collect(),
+        xs.iter()
+            .map(|&x| usize::from(x >= 5.0) + usize::from(x >= 10.0))
+            .collect(),
+    );
+    cv.install_model(TrainedModel::train(
+        &ClassifierConfig::Svm {
+            c: Some(10.0),
+            gamma: Some(0.5),
+            grid_search: false,
+            cache_bytes: None,
+        },
+        &data,
+    ));
+    cv.bind_metrics(registry);
+    cv
+}
+
+fn veto_inputs() -> Vec<f64> {
+    (0..30).map(|i| f64::from(i) * 0.5).collect()
+}
+
+#[test]
+fn a_vetoed_prediction_runs_the_default_plain_and_the_next_ranked_variant_guarded() {
+    let registry = nitro::trace::MetricsRegistry::new();
+    let cv = veto_registration(&registry);
+    let (wide, mid) = (2, 1);
+    let mut digest = Digest::new();
+    let mut vetoed = Vec::new();
+    for x in veto_inputs() {
+        let (features, _) = cv.evaluate_features(&x);
+        let inv = cv.call(&x).unwrap();
+        if cv.select(&features) == Some(wide) && x > 12.0 {
+            assert_eq!(
+                (inv.variant, inv.fell_back_to_default),
+                (0, true),
+                "x = {x}: a vetoed prediction runs the default"
+            );
+            vetoed.push(x);
+        } else {
+            assert_eq!(inv.variant, cv.select(&features).unwrap(), "x = {x}");
+            assert!(!inv.fell_back_to_default, "x = {x}");
+        }
+        digest.selection(Some(inv.variant));
+        digest.bytes(&[u8::from(inv.fell_back_to_default)]);
+    }
+    assert!(vetoed.len() >= 3, "only {} vetoed input(s)", vetoed.len());
+    let count = |name: &str| registry.counter_value(name).unwrap();
+    assert_eq!(count("dispatch.veto.veto.wide"), vetoed.len() as u64);
+    assert_eq!(count("dispatch.veto.veto.mid"), 0);
+    assert_eq!(count("dispatch.veto.fallback"), vetoed.len() as u64);
+
+    let guard = GuardedVariant::new(cv, GuardPolicy::default()).unwrap();
+    for x in veto_inputs() {
+        let inv = guard.call(&x).unwrap();
+        if vetoed.contains(&x) {
+            let (features, _) = guard.inner().evaluate_features(&x);
+            let ranked = guard.inner().model().unwrap().rank(&features);
+            let next = ranked.iter().copied().find(|&v| v != wide && v != 0);
+            assert_eq!(next, Some(mid), "x = {x}: the ranking is {ranked:?}");
+            assert_eq!(
+                (inv.variant, inv.cascade.as_slice(), inv.fell_back),
+                (mid, [mid, 0].as_slice(), false),
+                "x = {x}: the guard serves the next-ranked allowed variant"
+            );
+        }
+        digest.selection(Some(inv.variant));
+    }
+    assert_eq!(count("dispatch.veto.veto.wide"), vetoed.len() as u64);
+    assert_eq!(
+        digest.0, 0xbfbc_9b1f_1642_86f5,
+        "veto selections changed (digest {:#018x})",
+        digest.0
+    );
+}
+
+/// A four-class SVM over points on a spiral, and every point of a dense
+/// grid at which its pairwise votes tie.
+fn tie_registration() -> (CodeVariant<[f64; 2]>, Vec<[f64; 2]>) {
+    let mut cv = CodeVariant::<[f64; 2]>::new("ties", &Context::new());
+    for c in 0..4 {
+        cv.add_variant(FnVariant::new(format!("c{c}"), move |q: &[f64; 2]| {
+            f64::from(c) + q[0]
+        }));
+    }
+    cv.set_default(0);
+    cv.add_input_feature(FnFeature::new("u", |q: &[f64; 2]| q[0]));
+    cv.add_input_feature(FnFeature::new("v", |q: &[f64; 2]| q[1]));
+    let x: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            let t = f64::from(i) * 2.399_963;
+            let r = 1.0 + f64::from(i % 7) * 0.5;
+            vec![r * t.cos(), r * t.sin()]
+        })
+        .collect();
+    let y: Vec<usize> = (0..x.len()).map(|i| i % 4).collect();
+    let model = TrainedModel::train(
+        &ClassifierConfig::Svm {
+            c: Some(1.0),
+            gamma: Some(0.5),
+            grid_search: false,
+            cache_bytes: None,
+        },
+        &Dataset::from_parts(x, y),
+    );
+    let TrainedModel::Svm {
+        scaler, model: svm, ..
+    } = &model
+    else {
+        panic!("an SVM config trains an SVM");
+    };
+    let mut ties = Vec::new();
+    for i in -24..=24 {
+        for j in -24..=24 {
+            let q = [f64::from(i) * 0.25, f64::from(j) * 0.25];
+            let scaled = scaler.transform(&q);
+            let mut votes = [0usize; 4];
+            for pm in svm.machines() {
+                let winner = if pm.svm.decision(&scaled) >= 0.0 {
+                    pm.pos
+                } else {
+                    pm.neg
+                };
+                votes[winner] += 1;
+            }
+            let max = *votes.iter().max().unwrap();
+            if votes.iter().filter(|&&v| v == max).count() > 1 {
+                ties.push(q);
+            }
+        }
+    }
+    cv.install_model(model);
+    (cv, ties)
+}
+
+#[test]
+fn a_vote_tie_takes_the_posterior_winner_plain_and_guarded() {
+    let (cv, ties) = tie_registration();
+    assert!(ties.len() >= 10, "only {} tie(s) on the grid", ties.len());
+    let mut digest = Digest::new();
+    for q in &ties {
+        let inv = cv.call(q).unwrap();
+        assert_eq!(Some(inv.variant), cv.select(&inv.features), "at {q:?}");
+        digest.selection(Some(inv.variant));
+    }
+    let guard = GuardedVariant::new(cv, GuardPolicy::default()).unwrap();
+    for q in &ties {
+        digest.selection(Some(guard.call(q).unwrap().variant));
+    }
+    assert_eq!(ties.len(), 222, "the grid's vote ties moved");
+    assert_eq!(
+        digest.0,
+        0xc6ba_2bbc_917b_ec65,
+        "vote-tie selections changed over {} tie(s) (digest {:#018x})",
+        ties.len(),
+        digest.0
+    );
 }
