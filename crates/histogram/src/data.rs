@@ -128,9 +128,10 @@ pub fn generate(family: &str, n: usize, seed: u64, name: &str) -> HistInput {
         // wildly across blocks (the even-share vs dynamic contrast).
         "sorted_uniform" => {
             let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
-            // Finite keys in [+0, 1): keys that compare equal are
-            // bit-equal, so an unstable sort yields the stable result.
-            v.sort_unstable_by(f64::total_cmp);
+            // Finite keys in [+0, 1): their bit patterns order like
+            // `total_cmp` and keys that compare equal are bit-equal, so an
+            // unstable integer sort on the bits yields the stable result.
+            v.sort_unstable_by_key(|x| x.to_bits());
             v
         }
         other => panic!("unknown histogram family '{other}'"),

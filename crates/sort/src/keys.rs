@@ -138,16 +138,19 @@ pub fn generate(category: &str, n: usize, wide: bool, seed: u64, name: &str) -> 
     let mut rng = StdRng::seed_from_u64(seed);
     let raw: Vec<f64> = match category {
         "uniform" => (0..n).map(|_| rng.random::<f64>() * 1e6).collect(),
-        // The keys are finite and never below +0, so keys that compare
-        // equal are bit-equal: an unstable sort yields the stable result.
+        // The keys are finite and never below +0, so their IEEE bit
+        // patterns order like `total_cmp` and keys that compare equal are
+        // bit-equal: an unstable integer sort on the bits yields the
+        // stable `total_cmp` result, at about half the cost.
         "reverse" => {
             let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 1e6).collect();
-            v.sort_unstable_by(|a, b| b.total_cmp(a));
+            v.sort_unstable_by_key(|x| x.to_bits());
+            v.reverse();
             v
         }
         "almost_sorted" => {
             let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 1e6).collect();
-            v.sort_unstable_by(f64::total_cmp);
+            v.sort_unstable_by_key(|x| x.to_bits());
             // Swap 20–25% of the keys (paper's recipe). Swap partners are
             // drawn from a bounded neighbourhood: "almost sorted" data in
             // practice (incremental updates, timestamps, resorted feeds)
