@@ -232,29 +232,6 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// One side of a divergent branch: if any of the 32 lanes takes it, the
-    /// whole warp spends `cycles` on it (bodies of divergent branches
-    /// serialize).
-    pub fn warp_branch(&mut self, lanes_taking: usize, cycles: f64) {
-        if lanes_taking > 0 {
-            self.tally.compute_cycles += cycles;
-        }
-    }
-
-    /// Warp-wide shared-memory access at the given byte `addrs`.
-    ///
-    /// Shared memory is split into 32 four-byte banks; within a 32-lane
-    /// group, *distinct* addresses falling in the same bank serialize
-    /// (identical addresses broadcast for free). The charge per group is
-    /// the worst bank's conflict degree.
-    pub fn warp_shared_access(&mut self, addrs: &[u64]) {
-        const SHARED_ACCESS_CYCLES: f64 = 2.0;
-        for chunk in addrs.chunks(WARP_SIZE) {
-            let (_, degree) = self.table.conflicts(chunk);
-            self.tally.compute_cycles += degree as f64 * SHARED_ACCESS_CYCLES;
-        }
-    }
-
     /// Warp-wide atomic update on the given byte `addrs`. Within each
     /// 32-lane group, lanes hitting the same address serialize (cost scales
     /// with the maximum multiplicity). For [`AtomicSpace::Global`],
@@ -384,39 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn bank_conflicts_serialize_distinct_same_bank_addresses() {
-        let (cfg, mut tex) = ctx_parts();
-        let mut ctx = BlockCtx::new(&cfg, &mut tex);
-        // 32 lanes hitting 32 different banks: conflict-free.
-        let spread: Vec<u64> = (0..32u64).map(|i| i * 4).collect();
-        ctx.warp_shared_access(&spread);
-        let free = ctx.tally().compute_cycles;
-
-        let mut tex2 = TexCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes, cfg.tex_assoc);
-        let mut ctx2 = BlockCtx::new(&cfg, &mut tex2);
-        // 32 distinct addresses in the SAME bank (stride 128 bytes).
-        let conflicted: Vec<u64> = (0..32u64).map(|i| i * 128).collect();
-        ctx2.warp_shared_access(&conflicted);
-        assert_eq!(ctx2.tally().compute_cycles, 32.0 * free);
-    }
-
-    #[test]
-    fn same_address_shared_access_broadcasts() {
-        let (cfg, mut tex) = ctx_parts();
-        let mut ctx = BlockCtx::new(&cfg, &mut tex);
-        ctx.warp_shared_access(&[64u64; 32]); // all lanes, one address
-        let broadcast = ctx.tally().compute_cycles;
-        let mut tex2 = TexCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes, cfg.tex_assoc);
-        let mut ctx2 = BlockCtx::new(&cfg, &mut tex2);
-        ctx2.warp_shared_access(&[64u64]); // single lane
-        assert_eq!(
-            broadcast,
-            ctx2.tally().compute_cycles,
-            "broadcast must be free"
-        );
-    }
-
-    #[test]
     fn shared_atomic_bank_conflicts_counted() {
         let (cfg, mut tex) = ctx_parts();
         let mut ctx = BlockCtx::new(&cfg, &mut tex);
@@ -485,15 +429,5 @@ mod tests {
         let mut ctx2 = BlockCtx::new(&cfg, &mut tex2);
         ctx2.bulk_mem(1280.0, 0.5);
         assert!((ctx2.tally().dram_bytes - 2.0 * full).abs() < 1e-9);
-    }
-
-    #[test]
-    fn branch_only_charges_when_taken() {
-        let (cfg, mut tex) = ctx_parts();
-        let mut ctx = BlockCtx::new(&cfg, &mut tex);
-        ctx.warp_branch(0, 100.0);
-        assert_eq!(ctx.tally().compute_cycles, 0.0);
-        ctx.warp_branch(1, 100.0);
-        assert_eq!(ctx.tally().compute_cycles, 100.0);
     }
 }

@@ -11,8 +11,7 @@
 //! * **Coalescing** — a warp-wide gather costs as many 128-byte transactions
 //!   as distinct segments it touches ([`BlockCtx::warp_gather`]).
 //! * **Divergence** — a warp-wide loop runs for the *longest* lane
-//!   ([`BlockCtx::warp_loop`]); divergent branches serialize
-//!   ([`BlockCtx::warp_branch`]).
+//!   ([`BlockCtx::warp_loop`]).
 //! * **Texture cache** — gathers routed through [`BlockCtx::tex_gather`] hit
 //!   a small set-associative LRU cache, rewarding access locality.
 //! * **Atomics** — same-address atomics within a warp serialize; global

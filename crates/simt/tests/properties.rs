@@ -41,12 +41,6 @@ mod reference {
         }
     }
 
-    pub fn warp_shared_access(t: &mut KernelTally, addrs: &[u64]) {
-        for chunk in addrs.chunks(WARP_SIZE) {
-            t.compute_cycles += bank_degree(&distinct(chunk, |a| a)) as f64 * 2.0;
-        }
-    }
-
     pub fn warp_atomic(
         t: &mut KernelTally,
         cfg: &DeviceConfig,
@@ -142,10 +136,6 @@ proptest! {
         let mut want = KernelTally::default();
         reference::warp_gather(&mut want, &cfg, &addrs);
         prop_assert_eq!(block_tally(&cfg, |ctx| ctx.warp_gather(&addrs, 4)), want);
-
-        let mut want = KernelTally::default();
-        reference::warp_shared_access(&mut want, &addrs);
-        prop_assert_eq!(block_tally(&cfg, |ctx| ctx.warp_shared_access(&addrs)), want);
 
         for space in [AtomicSpace::Shared, AtomicSpace::Global] {
             let mut want = KernelTally::default();

@@ -27,26 +27,21 @@ impl DiaMatrix {
     /// `max_diags` distinct diagonals — the storage would explode, which
     /// is what the paper's DIA cutoff constraint guards against.
     pub fn from_csr(csr: &CsrMatrix, max_diags: usize) -> Option<Self> {
-        let mut offsets: Vec<i64> = Vec::new();
-        {
-            let mut seen = std::collections::BTreeSet::new();
-            for r in 0..csr.n_rows {
-                let (cols, _) = csr.row(r);
-                for &c in cols {
-                    seen.insert(c as i64 - r as i64);
-                    if seen.len() > max_diags {
-                        return None;
-                    }
-                }
-            }
-            offsets.extend(seen);
+        let (slots, n_diags) = diagonal_slots(csr);
+        if n_diags > max_diags {
+            return None;
         }
-        let mut data = vec![0.0; offsets.len() * csr.n_rows];
+        let offsets = slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != u32::MAX)
+            .map(|(i, _)| i as i64 + 1 - csr.n_rows as i64)
+            .collect();
+        let mut data = vec![0.0; n_diags * csr.n_rows];
         for r in 0..csr.n_rows {
             let (cols, vals) = csr.row(r);
             for (&c, &v) in cols.iter().zip(vals) {
-                let off = c as i64 - r as i64;
-                let d = offsets.binary_search(&off).expect("offset recorded above");
+                let d = slots[c as usize + csr.n_rows - 1 - r] as usize;
                 data[d * csr.n_rows + r] = v;
             }
         }
@@ -87,6 +82,25 @@ impl DiaMatrix {
         }
         y
     }
+}
+
+/// One direct-indexed pass over the nonzeros. Entry `c − r + n_rows − 1`
+/// of the returned table is the rank of diagonal `c − r` among the
+/// matrix's distinct diagonals in ascending order, or `u32::MAX` if no
+/// entry lies on it; the second value is the number of distinct diagonals.
+pub(crate) fn diagonal_slots(csr: &CsrMatrix) -> (Vec<u32>, usize) {
+    let mut slots = vec![u32::MAX; (csr.n_rows + csr.n_cols).saturating_sub(1)];
+    for r in 0..csr.n_rows {
+        for &c in csr.row(r).0 {
+            slots[c as usize + csr.n_rows - 1 - r] = 0;
+        }
+    }
+    let mut n_diags = 0;
+    for s in slots.iter_mut().filter(|s| **s == 0) {
+        *s = n_diags;
+        n_diags += 1;
+    }
+    (slots, n_diags as usize)
 }
 
 #[cfg(test)]

@@ -30,11 +30,11 @@ impl EllMatrix {
     /// Convert from CSR. Returns `None` when the padded storage would
     /// exceed `max_fill` times the true nonzero count.
     pub fn from_csr(csr: &CsrMatrix, max_fill: f64) -> Option<Self> {
-        let width = (0..csr.n_rows).map(|r| csr.row_len(r)).max().unwrap_or(0);
-        let cells = width * csr.n_rows;
-        if csr.nnz() > 0 && cells as f64 > max_fill * csr.nnz() as f64 {
+        let width = crate::features::max_row_len(csr);
+        if !fits(csr, width, max_fill) {
             return None;
         }
+        let cells = width * csr.n_rows;
         let mut cols = vec![ELL_PAD; cells];
         let mut vals = vec![0.0; cells];
         for r in 0..csr.n_rows {
@@ -77,6 +77,12 @@ impl EllMatrix {
         }
         y
     }
+}
+
+/// Whether rows padded to `width` stay within `max_fill` times the
+/// matrix's nonzeros: the condition [`EllMatrix::from_csr`] converts under.
+pub(crate) fn fits(csr: &CsrMatrix, width: usize, max_fill: f64) -> bool {
+    csr.nnz() == 0 || (width * csr.n_rows) as f64 <= max_fill * csr.nnz() as f64
 }
 
 #[cfg(test)]

@@ -33,35 +33,36 @@ pub fn row_length_sd(m: &CsrMatrix) -> f64 {
     var.sqrt()
 }
 
+/// Length of the longest row: the ELL width.
+pub fn max_row_len(m: &CsrMatrix) -> usize {
+    (0..m.n_rows).map(|r| m.row_len(r)).max().unwrap_or(0)
+}
+
 /// Deviation of the longest row from the average row length
 /// (`MaxDeviation`).
 pub fn max_row_deviation(m: &CsrMatrix) -> f64 {
-    let max = (0..m.n_rows).map(|r| m.row_len(r)).max().unwrap_or(0);
-    (max as f64 - avg_nz_per_row(m)).max(0.0)
+    (max_row_len(m) as f64 - avg_nz_per_row(m)).max(0.0)
+}
+
+/// Storage fill-in of a format that keeps `per_row` cells in every row:
+/// `per_row × n_rows / nnz`, infinite for an empty matrix. With the
+/// number of distinct diagonals it is `DIA-Fill`, with the longest row
+/// `ELL-Fillin`.
+pub fn fill(per_row: usize, m: &CsrMatrix) -> f64 {
+    if m.nnz() == 0 {
+        return f64::INFINITY;
+    }
+    (per_row * m.n_rows) as f64 / m.nnz() as f64
 }
 
 /// DIA storage fill-in estimate (`DIA-Fill`): `n_diags × n_rows / nnz`.
 pub fn dia_fill(m: &CsrMatrix) -> f64 {
-    if m.nnz() == 0 {
-        return f64::INFINITY;
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    for r in 0..m.n_rows {
-        let (cols, _) = m.row(r);
-        for &c in cols {
-            seen.insert(c as i64 - r as i64);
-        }
-    }
-    (seen.len() * m.n_rows) as f64 / m.nnz() as f64
+    fill(crate::dia::diagonal_slots(m).1, m)
 }
 
 /// ELL storage fill-in estimate (`ELL-Fillin`): `max_row_len × n_rows / nnz`.
 pub fn ell_fill(m: &CsrMatrix) -> f64 {
-    if m.nnz() == 0 {
-        return f64::INFINITY;
-    }
-    let max = (0..m.n_rows).map(|r| m.row_len(r)).max().unwrap_or(0);
-    (max * m.n_rows) as f64 / m.nnz() as f64
+    fill(max_row_len(m), m)
 }
 
 /// Matrix trace (`Trace`).

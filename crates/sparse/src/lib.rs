@@ -4,7 +4,8 @@
 //!
 //! * Formats: [`coo::CooMatrix`], [`csr::CsrMatrix`], [`dia::DiaMatrix`],
 //!   [`ell::EllMatrix`] with verified conversions (the CUSP formats the
-//!   paper tunes across).
+//!   paper tunes across). An [`SpmvInput`] holds only CSR: DIA and ELL
+//!   are built per call, and their verdicts come from counts.
 //! * Kernels: [`spmv::spmv_csr_vector`], [`spmv::spmv_dia`],
 //!   [`spmv::spmv_ell`] — each functionally correct on the CPU while
 //!   charging a simulated Fermi-class GPU, in plain and texture-cached

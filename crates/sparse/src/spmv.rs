@@ -7,15 +7,18 @@
 //! the CPU while charging its memory traffic and divergence to the
 //! [`nitro_simt`] device, so functional tests and cost behaviour come
 //! from the same code.
-
-use std::sync::OnceLock;
+//!
+//! An [`SpmvInput`] holds only its CSR matrix: the DIA and ELL variants
+//! build their format inside the call and drop it when the call returns.
+//! The fill features and the representability verdicts come from two
+//! counts taken once per input, so no verdict builds a format.
 
 use nitro_core::{CodeVariant, Context, FnConstraint, FnFeature, FnVariant, Predicate};
 use nitro_simt::{DeviceConfig, Gpu, Schedule};
 
 use crate::csr::CsrMatrix;
 use crate::dia::DiaMatrix;
-use crate::ell::{EllMatrix, ELL_PAD};
+use crate::ell::{self, EllMatrix, ELL_PAD};
 use crate::features;
 
 /// DIA is vetoed when its storage would exceed this multiple of nnz
@@ -26,8 +29,10 @@ pub const MAX_DIAGS: usize = 512;
 /// ELL is vetoed when padding exceeds this multiple of nnz.
 pub const ELL_FILL_CUTOFF: f64 = 8.0;
 
-/// One SpMV problem instance: a matrix, a dense vector, and lazily built
-/// alternative formats.
+/// One SpMV problem instance: a matrix, a dense vector, and the two
+/// counts that size the DIA and ELL forms (distinct diagonals, longest
+/// row). The forms themselves are not kept: a variant that runs on one
+/// builds it for its call.
 #[derive(Debug)]
 pub struct SpmvInput {
     /// Instance name (deterministic, used to seed simulation noise).
@@ -40,10 +45,8 @@ pub struct SpmvInput {
     pub x: Vec<f64>,
     /// Seed for the simulated device's measurement noise.
     pub gpu_seed: u64,
-    dia: OnceLock<Option<DiaMatrix>>,
-    ell: OnceLock<Option<EllMatrix>>,
-    dia_fill: OnceLock<f64>,
-    ell_fill: OnceLock<f64>,
+    n_diags: usize,
+    max_row_len: usize,
 }
 
 impl SpmvInput {
@@ -65,38 +68,34 @@ impl SpmvInput {
         Self {
             name,
             group: group.into(),
+            n_diags: crate::dia::diagonal_slots(&csr).1,
+            max_row_len: features::max_row_len(&csr),
             csr,
             x,
             gpu_seed,
-            dia: OnceLock::new(),
-            ell: OnceLock::new(),
-            dia_fill: OnceLock::new(),
-            ell_fill: OnceLock::new(),
         }
     }
 
-    /// The DIA form, if the matrix converts under [`MAX_DIAGS`].
-    pub fn dia(&self) -> Option<&DiaMatrix> {
-        self.dia
-            .get_or_init(|| DiaMatrix::from_csr(&self.csr, MAX_DIAGS))
-            .as_ref()
-    }
-
-    /// The ELL form, if padding stays under [`ELL_FILL_CUTOFF`].
-    pub fn ell(&self) -> Option<&EllMatrix> {
-        self.ell
-            .get_or_init(|| EllMatrix::from_csr(&self.csr, ELL_FILL_CUTOFF))
-            .as_ref()
-    }
-
-    /// Cached DIA fill-in feature.
+    /// DIA fill-in feature, from the diagonal count.
     pub fn dia_fill(&self) -> f64 {
-        *self.dia_fill.get_or_init(|| features::dia_fill(&self.csr))
+        features::fill(self.n_diags, &self.csr)
     }
 
-    /// Cached ELL fill-in feature.
+    /// ELL fill-in feature, from the longest row.
     pub fn ell_fill(&self) -> f64 {
-        *self.ell_fill.get_or_init(|| features::ell_fill(&self.csr))
+        features::fill(self.max_row_len, &self.csr)
+    }
+
+    /// Whether [`DiaMatrix::from_csr`] converts the matrix under
+    /// [`MAX_DIAGS`], read from the diagonal count.
+    pub fn dia_representable(&self) -> bool {
+        self.n_diags <= MAX_DIAGS
+    }
+
+    /// Whether [`EllMatrix::from_csr`] converts the matrix under
+    /// [`ELL_FILL_CUTOFF`], read from the longest row.
+    pub fn ell_representable(&self) -> bool {
+        ell::fits(&self.csr, self.max_row_len, ELL_FILL_CUTOFF)
     }
 }
 
@@ -300,46 +299,32 @@ pub fn build_code_variant_metric(
 ) -> CodeVariant<SpmvInput> {
     let mut cv = CodeVariant::new("spmv", ctx);
 
-    let gpu_for = |cfg: &DeviceConfig, inp: &SpmvInput, salt: u64| {
-        Gpu::with_seed(cfg.clone(), inp.gpu_seed ^ salt)
+    // Variant `k` seeds its device with salt `k + 1`.
+    let gpu = |cfg: &DeviceConfig, inp: &SpmvInput, k: usize| {
+        Gpu::with_seed(cfg.clone(), inp.gpu_seed ^ (k as u64 + 1))
     };
 
-    let c = cfg.clone();
-    cv.add_variant(FnVariant::new("CSR-Vec", move |inp: &SpmvInput| {
-        metric.of(&spmv_csr_vector(&inp.csr, &inp.x, &gpu_for(&c, inp, 0x01), false).1)
-    }));
-    let c = cfg.clone();
-    let dia_idx = cv.add_variant(FnVariant::new("DIA", move |inp: &SpmvInput| {
-        match inp.dia() {
-            Some(d) => metric.of(&spmv_dia(d, &inp.x, &gpu_for(&c, inp, 0x02), false).1),
-            None => f64::INFINITY,
-        }
-    }));
-    let c = cfg.clone();
-    let ell_idx = cv.add_variant(FnVariant::new("ELL", move |inp: &SpmvInput| {
-        match inp.ell() {
-            Some(e) => metric.of(&spmv_ell(e, &inp.x, &gpu_for(&c, inp, 0x03), false).1),
-            None => f64::INFINITY,
-        }
-    }));
-    let c = cfg.clone();
-    cv.add_variant(FnVariant::new("CSR-Vec-Tx", move |inp: &SpmvInput| {
-        metric.of(&spmv_csr_vector(&inp.csr, &inp.x, &gpu_for(&c, inp, 0x04), true).1)
-    }));
-    let c = cfg.clone();
-    let dia_tx_idx = cv.add_variant(FnVariant::new("DIA-Tx", move |inp: &SpmvInput| {
-        match inp.dia() {
-            Some(d) => metric.of(&spmv_dia(d, &inp.x, &gpu_for(&c, inp, 0x05), true).1),
-            None => f64::INFINITY,
-        }
-    }));
-    let c = cfg.clone();
-    let ell_tx_idx = cv.add_variant(FnVariant::new("ELL-Tx", move |inp: &SpmvInput| {
-        match inp.ell() {
-            Some(e) => metric.of(&spmv_ell(e, &inp.x, &gpu_for(&c, inp, 0x06), true).1),
-            None => f64::INFINITY,
-        }
-    }));
+    // The plain flavour, then the texture-cached one. DIA and ELL build
+    // their format for the call and drop it when the call returns.
+    let (mut dia, mut ell) = ([0; 2], [0; 2]);
+    for (f, tx) in [false, true].into_iter().enumerate() {
+        let (c, k) = (cfg.clone(), 3 * f);
+        cv.add_variant(FnVariant::new(VARIANT_NAMES[k], move |inp: &SpmvInput| {
+            metric.of(&spmv_csr_vector(&inp.csr, &inp.x, &gpu(&c, inp, k), tx).1)
+        }));
+        let (c, k) = (cfg.clone(), k + 1);
+        dia[f] = cv.add_variant(FnVariant::new(VARIANT_NAMES[k], move |inp: &SpmvInput| {
+            DiaMatrix::from_csr(&inp.csr, MAX_DIAGS).map_or(f64::INFINITY, |d| {
+                metric.of(&spmv_dia(&d, &inp.x, &gpu(&c, inp, k), tx).1)
+            })
+        }));
+        let (c, k) = (cfg.clone(), k + 1);
+        ell[f] = cv.add_variant(FnVariant::new(VARIANT_NAMES[k], move |inp: &SpmvInput| {
+            EllMatrix::from_csr(&inp.csr, ELL_FILL_CUTOFF).map_or(f64::INFINITY, |e| {
+                metric.of(&spmv_ell(&e, &inp.x, &gpu(&c, inp, k), tx).1)
+            })
+        }));
+    }
 
     cv.set_default(0); // CSR-Vec handles anything
 
@@ -379,38 +364,29 @@ pub fn build_code_variant_metric(
     // cap with an in-cutoff fill estimate) depends on input shape, not
     // on any registered feature, and stays an opaque escape-hatch
     // constraint.
-    cv.add_predicate_constraint(dia_idx, "dia_cutoff", Predicate::le(3, DIA_FILL_CUTOFF))
-        .expect("DIA cutoff registers");
-    cv.add_predicate_constraint(
-        dia_tx_idx,
-        "dia_cutoff_tx",
-        Predicate::le(3, DIA_FILL_CUTOFF),
-    )
-    .expect("DIA-Tx cutoff registers");
-    cv.add_predicate_constraint(ell_idx, "ell_cutoff", Predicate::le(4, ELL_FILL_CUTOFF))
-        .expect("ELL cutoff registers");
-    cv.add_predicate_constraint(
-        ell_tx_idx,
-        "ell_cutoff_tx",
-        Predicate::le(4, ELL_FILL_CUTOFF),
-    )
-    .expect("ELL-Tx cutoff registers");
-    let dia_ok = |i: &SpmvInput| i.dia().is_some();
-    cv.add_constraint(dia_idx, FnConstraint::new("dia_representable", dia_ok))
-        .expect("DIA representability registers");
-    cv.add_constraint(
-        dia_tx_idx,
-        FnConstraint::new("dia_representable_tx", dia_ok),
-    )
-    .expect("DIA-Tx representability registers");
-    let ell_ok = |i: &SpmvInput| i.ell().is_some();
-    cv.add_constraint(ell_idx, FnConstraint::new("ell_representable", ell_ok))
-        .expect("ELL representability registers");
-    cv.add_constraint(
-        ell_tx_idx,
-        FnConstraint::new("ell_representable_tx", ell_ok),
-    )
-    .expect("ELL-Tx representability registers");
+    let formats = [
+        ("dia", dia, 3, DIA_FILL_CUTOFF),
+        ("ell", ell, 4, ELL_FILL_CUTOFF),
+    ];
+    for (format, variants, feature, cutoff) in formats {
+        for (v, suffix) in variants.into_iter().zip(["", "_tx"]) {
+            let predicate = Predicate::le(feature, cutoff);
+            cv.add_predicate_constraint(v, format!("{format}_cutoff{suffix}"), predicate)
+                .expect("fill cutoff registers");
+        }
+    }
+    let dia_ok: fn(&SpmvInput) -> bool = SpmvInput::dia_representable;
+    let verdicts = [
+        ("dia", dia, dia_ok),
+        ("ell", ell, SpmvInput::ell_representable),
+    ];
+    for (format, variants, ok) in verdicts {
+        for (v, suffix) in variants.into_iter().zip(["", "_tx"]) {
+            let name = format!("{format}_representable{suffix}");
+            cv.add_constraint(v, FnConstraint::new(name, ok))
+                .expect("representability registers");
+        }
+    }
 
     cv
 }
@@ -455,7 +431,12 @@ mod tests {
         let inp = SpmvInput::new("banded", "banded", gen::banded(6000, 4, 1.0, 7));
         let gpu = quiet();
         let (_, t_csr) = spmv_csr_vector(&inp.csr, &inp.x, &gpu, false);
-        let (_, t_dia) = spmv_dia(inp.dia().unwrap(), &inp.x, &gpu, false);
+        let (_, t_dia) = spmv_dia(
+            &DiaMatrix::from_csr(&inp.csr, MAX_DIAGS).unwrap(),
+            &inp.x,
+            &gpu,
+            false,
+        );
         assert!(t_dia.elapsed_ns < t_csr.elapsed_ns, "DIA vs CSR");
     }
 
@@ -464,7 +445,12 @@ mod tests {
         let inp = SpmvInput::new("uni", "uniform", gen::uniform_rows(6000, 8, 6000, 9));
         let gpu = quiet();
         let (_, t_csr) = spmv_csr_vector(&inp.csr, &inp.x, &gpu, false);
-        let (_, t_ell) = spmv_ell(inp.ell().unwrap(), &inp.x, &gpu, false);
+        let (_, t_ell) = spmv_ell(
+            &EllMatrix::from_csr(&inp.csr, ELL_FILL_CUTOFF).unwrap(),
+            &inp.x,
+            &gpu,
+            false,
+        );
         assert!(t_ell.elapsed_ns < t_csr.elapsed_ns, "ELL vs CSR");
     }
 

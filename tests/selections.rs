@@ -7,7 +7,10 @@
 //! - the artifact of an incremental (BvSB) tune of
 //!   `INCREMENTAL_ITERATIONS` queries (paper Fig. 7),
 //!
-//! and checks each digest against a recorded constant. The plain
+//! and checks each digest against a recorded constant. It also pins,
+//! bit for bit, each suite's perf-vs-oracle ratio (`evaluate_selection`
+//! of the plain selections against every variant profiled on the test
+//! set, paper Fig. 6) and the five suites' ratio pooled by input count. The plain
 //! selections are digested a second time from two threads that share
 //! one `&CodeVariant`.
 //!
@@ -34,7 +37,7 @@ use nitro::core::{
 use nitro::guard::{GuardPolicy, GuardedVariant};
 use nitro::ml::{Dataset, TrainedModel};
 use nitro::store::TuningJournal;
-use nitro::tuner::Autotuner;
+use nitro::tuner::{evaluate_selection, Autotuner, EvalSummary, ProfileTable};
 use nitro_bench::{for_each_suite, BenchResult, Suite, SuiteSpec, SuiteVisitor};
 
 /// BvSB queries of the incremental tune: few enough that the query
@@ -94,7 +97,7 @@ fn two_thread_selections<I: Send + Sync + 'static>(
 }
 
 impl SuiteVisitor for Selections {
-    type Output = (&'static str, [u64; 6]);
+    type Output = (&'static str, [u64; 6], EvalSummary);
 
     fn visit<I: Send + Sync + 'static>(
         &mut self,
@@ -107,9 +110,13 @@ impl SuiteVisitor for Selections {
         artifact.bytes(cv.export_artifact()?.to_json()?.as_bytes());
 
         let mut plain = Digest::new();
-        for input in suite.test {
-            plain.selection(cv.call(input).ok().map(|inv| inv.variant));
+        let mut chosen = Vec::new();
+        for (i, input) in suite.test.iter().enumerate() {
+            let selection = cv.call(input).ok().map(|inv| inv.variant);
+            plain.selection(selection);
+            chosen.push(selection.unwrap_or_else(|| panic!("{}: input {i} failed", suite.name)));
         }
+        let perf = evaluate_selection(&ProfileTable::build(&cv, suite.test), &chosen);
         let mut threaded = Digest::new();
         for selection in two_thread_selections(&cv, suite.test) {
             threaded.selection(selection);
@@ -167,6 +174,7 @@ impl SuiteVisitor for Selections {
                 durable.0,
                 incremental.0,
             ],
+            perf,
         ))
     }
 }
@@ -221,7 +229,18 @@ fn tuned_models_and_per_input_selections_are_stable() {
             ],
         ),
     ];
-    for ((name, digests), (want_name, want_digests)) in got.iter().zip(want) {
+    // Each suite's perf-vs-oracle ratio and test inputs with an oracle,
+    // then the ratio pooled by input count.
+    let want_perf: [(u64, usize); 5] = [
+        (0x3fee_ffc4_dcac_3990, 20), // 0.9687218008055414
+        (0x3fef_370a_3e6e_4b65, 16), // 0.9754687518455795
+        (0x3fef_a032_1bdc_a576, 11), // 0.9883051437547425
+        (0x3fed_e355_7e6a_9f5a, 30), // 0.9340007275650166
+        (0x3fef_ea5c_2f2d_8c24, 24), // 0.9973584100192778
+    ];
+    let want_pooled = 0x3fee_fd41_7b1f_ec0e; // 0.9684150128154003
+    let mut changed = Vec::new();
+    for ((name, digests, _), (want_name, want_digests)) in got.iter().zip(want) {
         assert_eq!(*name, want_name);
         // Two threads sharing the dispatcher select what one does, and
         // the resumed durable tune lands on the plain tune's artifact.
@@ -244,12 +263,38 @@ fn tuned_models_and_per_input_selections_are_stable() {
         .iter()
         .zip(digests.iter().zip(want_digests))
         {
-            assert_eq!(
-                *g, w,
-                "{name}: {what} changed (digest {g:#018x}, recorded {w:#018x})"
-            );
+            if *g != w {
+                changed.push(format!(
+                    "{name}: {what} changed (digest {g:#018x}, recorded {w:#018x})"
+                ));
+            }
         }
     }
+    for ((name, _, perf), (want_bits, want_n)) in got.iter().zip(want_perf) {
+        let (got_bits, got_n) = (perf.mean_relative_perf.to_bits(), perf.n_inputs);
+        if (got_bits, got_n) != (want_bits, want_n) {
+            changed.push(format!(
+                "{name}: perf vs oracle changed ({} over {got_n} inputs, bits {got_bits:#018x}; \
+                 recorded {} over {want_n}, bits {want_bits:#018x})",
+                perf.mean_relative_perf,
+                f64::from_bits(want_bits)
+            ));
+        }
+    }
+    let n: usize = got.iter().map(|(_, _, p)| p.n_inputs).sum();
+    let pooled = got
+        .iter()
+        .map(|(_, _, p)| p.mean_relative_perf * p.n_inputs as f64)
+        .sum::<f64>()
+        / n as f64;
+    if pooled.to_bits() != want_pooled {
+        changed.push(format!(
+            "pooled perf vs oracle changed ({pooled}, bits {:#018x}; recorded {}, bits {want_pooled:#018x})",
+            pooled.to_bits(),
+            f64::from_bits(want_pooled)
+        ));
+    }
+    assert!(changed.is_empty(), "{}", changed.join("\n"));
     assert_eq!(got.len(), want.len());
 }
 
