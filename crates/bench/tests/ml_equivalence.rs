@@ -1,61 +1,26 @@
-//! Suite-level equivalence of the compiled SVM prediction engine.
+//! Suite-level fast-path audit of the compiled SVM prediction engine.
 //!
-//! The compiled engine (`nitro_ml::svm::compiled`) is the path every
-//! dispatched call takes; the reference one-vs-one implementation in
-//! `SvmModel` is the specification. This test tunes all five paper
-//! benchmark suites end-to-end at CI scale and requires the two paths to
-//! agree *bitwise* — argmax, posteriors and ranking — on every train and
-//! test input of every suite, plus a clean `NITRO062` fast-path audit.
+//! Root `tests/selections.rs` digests the compiled and the reference
+//! prediction (argmax and posterior bits) for every train and test input
+//! of the five suites. What it does not run is the `NITRO062` audit
+//! (`nitro_audit::audit_fastpath`) on real tuned models: this test tunes
+//! all five paper benchmark suites end-to-end at CI scale and requires
+//! the audit to find the two engines in agreement on each suite's
+//! training set.
 
 use nitro_bench::harness::{run_all, SuiteSpec};
 use nitro_core::TrainedModel;
 
 #[test]
-fn compiled_predictions_match_reference_on_all_suites() {
+fn fastpath_audit_is_clean_on_all_suites() {
     let outcomes = run_all(SuiteSpec::small()).expect("all five suites tune");
     assert_eq!(outcomes.len(), 5);
     let mut svm_suites = 0usize;
     for out in &outcomes {
-        let TrainedModel::Svm {
-            ref scaler,
-            model: ref svm,
-            ..
-        } = out.model
-        else {
+        if !matches!(out.model, TrainedModel::Svm { .. }) {
             continue;
-        };
-        svm_suites += 1;
-        let compiled = svm.compiled();
-        let probe_rows = out
-            .train_table
-            .features
-            .iter()
-            .chain(out.test_table.features.iter());
-        let mut rows = 0usize;
-        for raw in probe_rows {
-            rows += 1;
-            let x = scaler.transform(raw);
-            assert_eq!(
-                svm.predict(&x),
-                compiled.predict(&x),
-                "{}: argmax diverged on {raw:?}",
-                out.name
-            );
-            let reference = svm.probabilities(&x);
-            let fast = compiled.probabilities(&x);
-            assert_eq!(reference.len(), fast.len(), "{}", out.name);
-            for (i, (a, b)) in reference.iter().zip(&fast).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{}: posterior {i} diverged on {raw:?}: {a} vs {b}",
-                    out.name
-                );
-            }
         }
-        assert!(rows > 0, "{}: no probe rows", out.name);
-
-        // The fast-path audit must agree that the engines match.
+        svm_suites += 1;
         let train_data = out.train_table.dataset();
         let diags = nitro_audit::audit_fastpath(&out.model, &train_data, &out.name);
         assert!(

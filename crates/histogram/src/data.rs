@@ -37,19 +37,28 @@ impl HistInput {
         }
     }
 
-    /// The bin of one sample.
+    /// The bin of one sample: `⌊256·v⌋`, saturated to `0..=255`.
+    ///
+    /// This is exactly the clamp formula `⌊clamp(v, 0, 1 − 10⁻¹²)·256⌋`
+    /// on every `f64`. Scaling by 256 = 2⁸ only shifts the exponent, so
+    /// the product is exact (subnormals included; above `f64::MAX / 256`
+    /// it is +∞), and `as u8` truncates toward zero and saturates: NaN,
+    /// negatives and −∞ give 0, and every product ≥ 255 gives 255. On
+    /// `[0, 1 − 10⁻¹²)` the two formulas truncate the same product; on
+    /// `[1 − 10⁻¹², +∞]` both give 255.
     #[inline]
-    pub fn bin_of(&self, v: f64) -> usize {
-        ((v.clamp(0.0, 1.0 - 1e-12)) * N_BINS as f64) as usize
+    pub fn bin_of(&self, v: f64) -> u8 {
+        const _: () = assert!(N_BINS == 256, "bin_of scales by 256 into a u8");
+        (v * 256.0) as u8
     }
 
     /// Reference CPU histogram.
     pub fn reference(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; N_BINS];
+        let mut counts = [0u64; N_BINS];
         for &v in &self.data {
-            counts[self.bin_of(v)] += 1;
+            counts[usize::from(self.bin_of(v))] += 1;
         }
-        counts
+        counts.to_vec()
     }
 
     /// Number of samples.
@@ -66,12 +75,10 @@ impl HistInput {
     /// `SubSampleSD` feature ("the default size for this is 25% of the
     /// size of the input sample, or 10,000 elements, whichever is lower").
     pub fn subsample_sd(&self, max_sample: usize) -> f64 {
-        let k = (self.len() / 4).min(max_sample).max(1);
-        let stride = (self.len() / k).max(1);
-        let sample: Vec<f64> = self.data.iter().step_by(stride).take(k).copied().collect();
-        let n = sample.len() as f64;
-        let mean = sample.iter().sum::<f64>() / n;
-        (sample.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n).sqrt()
+        let n = self.subsample(max_sample).len() as f64;
+        let mean = self.subsample(max_sample).sum::<f64>() / n;
+        let sq = self.subsample(max_sample).map(|v| (v - mean) * (v - mean));
+        (sq.sum::<f64>() / n).sqrt()
     }
 
     /// Fraction of adjacent pairs in ascending order within the same
@@ -81,14 +88,23 @@ impl HistInput {
     /// (a strided subsample of sorted data has the same SD as shuffled
     /// data).
     pub fn subsample_sortedness(&self, max_sample: usize) -> f64 {
-        let k = (self.len() / 4).min(max_sample).max(1);
-        let stride = (self.len() / k).max(1);
-        let sample: Vec<f64> = self.data.iter().step_by(stride).take(k).copied().collect();
-        if sample.len() < 2 {
+        let len = self.subsample(max_sample).len();
+        if len < 2 {
             return 1.0;
         }
-        let ascending = sample.windows(2).filter(|w| w[0] <= w[1]).count();
-        ascending as f64 / (sample.len() - 1) as f64
+        let pairs = self
+            .subsample(max_sample)
+            .zip(self.subsample(max_sample).skip(1));
+        let ascending = pairs.filter(|(a, b)| a <= b).count();
+        ascending as f64 / (len - 1) as f64
+    }
+
+    /// The deterministic strided subsample behind both subsample
+    /// features: every `len / k`-th sample, `k` of them at most.
+    fn subsample(&self, max_sample: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let k = (self.len() / 4).min(max_sample).max(1);
+        let stride = (self.len() / k).max(1);
+        self.data.iter().step_by(stride).take(k).copied()
     }
 }
 

@@ -4,6 +4,9 @@
 //! - the tuned `ModelArtifact`'s JSON bytes,
 //! - the variant `CodeVariant::call` selects for every test input,
 //! - the variant `GuardedVariant::call` serves for every test input,
+//! - the SVM's prediction (argmax and posterior bits) for every train
+//!   and test input, once from the reference one-vs-one path and once
+//!   from the compiled engine dispatch uses,
 //! - the artifact of an incremental (BvSB) tune of
 //!   `INCREMENTAL_ITERATIONS` queries (paper Fig. 7),
 //!
@@ -62,12 +65,44 @@ impl Digest {
     fn selection(&mut self, variant: Option<usize>) {
         self.bytes(&variant.map_or(u64::MAX, |v| v as u64).to_le_bytes());
     }
+
+    /// A prediction: the argmax, then each posterior's bit pattern.
+    fn prediction(&mut self, class: usize, posterior: &[f64]) {
+        self.selection(Some(class));
+        for p in posterior {
+            self.bytes(&p.to_bits().to_le_bytes());
+        }
+    }
 }
 
 /// One suite's digests: artifact, plain selections, the plain
 /// selections from two threads, guarded selections, the artifact of the
-/// killed and resumed durable tune, and the incremental tune's artifact.
+/// killed and resumed durable tune, the incremental tune's artifact, and
+/// the reference and the compiled SVM predictions.
 struct Selections;
+
+/// Digests of the reference and the compiled SVM prediction for every
+/// train and test input, in that order.
+fn svm_predictions<I: Send + Sync + 'static>(
+    cv: &CodeVariant<I>,
+    train: &[I],
+    test: &[I],
+) -> [u64; 2] {
+    let Some(TrainedModel::Svm {
+        scaler, model: svm, ..
+    }) = cv.model()
+    else {
+        panic!("{}: the default policy trains an SVM", cv.name());
+    };
+    let compiled = svm.compiled();
+    let (mut reference, mut fast) = (Digest::new(), Digest::new());
+    for input in train.iter().chain(test) {
+        let x = scaler.transform(&cv.evaluate_features(input).0);
+        reference.prediction(svm.predict(&x), &svm.probabilities(&x));
+        fast.prediction(compiled.predict(&x), &compiled.probabilities(&x));
+    }
+    [reference.0, fast.0]
+}
 
 /// `cv.call`'s selection for every input, computed by two threads that
 /// share `cv` and take alternate inputs, merged back in input order.
@@ -97,7 +132,7 @@ fn two_thread_selections<I: Send + Sync + 'static>(
 }
 
 impl SuiteVisitor for Selections {
-    type Output = (&'static str, [u64; 6], EvalSummary);
+    type Output = (&'static str, [u64; 8], EvalSummary);
 
     fn visit<I: Send + Sync + 'static>(
         &mut self,
@@ -117,6 +152,7 @@ impl SuiteVisitor for Selections {
             chosen.push(selection.unwrap_or_else(|| panic!("{}: input {i} failed", suite.name)));
         }
         let perf = evaluate_selection(&ProfileTable::build(&cv, suite.test), &chosen);
+        let [reference, compiled] = svm_predictions(&cv, suite.train, suite.test);
         let mut threaded = Digest::new();
         for selection in two_thread_selections(&cv, suite.test) {
             threaded.selection(selection);
@@ -173,6 +209,8 @@ impl SuiteVisitor for Selections {
                 guarded.0,
                 durable.0,
                 incremental.0,
+                reference,
+                compiled,
             ],
             perf,
         ))
@@ -182,7 +220,7 @@ impl SuiteVisitor for Selections {
 #[test]
 fn tuned_models_and_per_input_selections_are_stable() {
     let got = for_each_suite(SuiteSpec::small(), &mut Selections).unwrap();
-    let want: [(&str, [u64; 4]); 5] = [
+    let want: [(&str, [u64; 5]); 5] = [
         (
             "spmv",
             [
@@ -190,6 +228,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
                 0xdb86_decd_1077_9885,
                 0xdb86_decd_1077_9885,
                 0x12e2_327d_790f_211d,
+                0x0ed4_9b99_bec6_2003,
             ],
         ),
         (
@@ -199,6 +238,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
                 0xd12c_2aa6_2a56_8065,
                 0xd12c_2aa6_2a56_8065,
                 0xc6a2_1de5_3678_2ee6,
+                0x2bbb_97bc_06cd_9ebf,
             ],
         ),
         (
@@ -208,6 +248,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
                 0x34f5_1303_221f_4887,
                 0x34f5_1303_221f_4887,
                 0xa704_3044_2de0_d819,
+                0xe14b_e07c_7883_0301,
             ],
         ),
         (
@@ -217,6 +258,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
                 0x620e_4266_23c6_5cc2,
                 0x620e_4266_23c6_5cc2,
                 0xe316_caae_ae08_3feb,
+                0x5efa_1e17_1591_7ad7,
             ],
         ),
         (
@@ -226,6 +268,7 @@ fn tuned_models_and_per_input_selections_are_stable() {
                 0x4a2f_88ec_c254_dee5,
                 0x4a2f_88ec_c254_dee5,
                 0x82ef_e408_b9c5_b497,
+                0x9f79_d210_160b_afec,
             ],
         ),
     ];
@@ -242,8 +285,9 @@ fn tuned_models_and_per_input_selections_are_stable() {
     let mut changed = Vec::new();
     for ((name, digests, _), (want_name, want_digests)) in got.iter().zip(want) {
         assert_eq!(*name, want_name);
-        // Two threads sharing the dispatcher select what one does, and
-        // the resumed durable tune lands on the plain tune's artifact.
+        // Two threads sharing the dispatcher select what one does, the
+        // resumed durable tune lands on the plain tune's artifact, and the
+        // compiled SVM predicts what the reference one-vs-one path does.
         let want_digests = [
             want_digests[0],
             want_digests[1],
@@ -251,6 +295,8 @@ fn tuned_models_and_per_input_selections_are_stable() {
             want_digests[2],
             want_digests[0],
             want_digests[3],
+            want_digests[4],
+            want_digests[4],
         ];
         for (what, (g, w)) in [
             "artifact",
@@ -259,6 +305,8 @@ fn tuned_models_and_per_input_selections_are_stable() {
             "guarded selections",
             "resumed durable artifact",
             "incremental artifact",
+            "reference SVM predictions",
+            "compiled SVM predictions",
         ]
         .iter()
         .zip(digests.iter().zip(want_digests))
